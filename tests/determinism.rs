@@ -668,3 +668,146 @@ fn amp_telemetry_stream_is_identical_across_thread_counts() {
         assert_eq!(trace(threads), reference, "threads={threads}");
     }
 }
+
+/// FNV-1a over the bit patterns of score vectors (length first), the
+/// fingerprint scheme of the stream pins in `tests/amp_baseline.rs` and
+/// `tests/static_contract.rs`.
+fn score_fingerprint(vectors: &[&[f64]]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    for scores in vectors {
+        mix(scores.len() as u64);
+        for x in scores.iter() {
+            mix(x.to_bits());
+        }
+    }
+    h
+}
+
+/// Bit-level pins of every score path built on the greedy fold. The
+/// equivalence tests only compare these paths with each other, so a
+/// change to the shared arithmetic would move every side at once and
+/// still pass them; these constants catch it. Recorded once, never
+/// updated: a moved pin is a behaviour change, not a stale constant.
+const SCORE_PINS: [(&str, u64); 14] = [
+    ("greedy/noise-aware", 0xE8A3_8C96_9047_F855),
+    ("greedy/plain", 0xEB5C_E7A2_9324_6178),
+    ("fold/winsorize", 0xDB54_19E0_4C67_7EB9),
+    ("fold/trim", 0xA68D_AAA4_1DEC_5007),
+    ("fold/slot-rate", 0x0E77_710C_62BA_0C19),
+    ("posterior/scores", 0xB03D_0118_ACDC_4597),
+    ("posterior/log-odds", 0xF72D_2B00_177E_7F67),
+    ("incremental/iid", 0xF420_D218_862D_F511),
+    ("incremental/subset", 0xFB1F_7969_AA67_9C71),
+    ("incremental/deck", 0xF70D_FDE1_26E7_32C1),
+    ("incremental/bernoulli", 0xEAC6_E405_F368_56E3),
+    ("incremental/banded", 0xEB83_DAE7_D078_2D0E),
+    ("protocol/batcher", 0xB03D_0118_ACDC_4597),
+    ("protocol/gossip", 0xB03D_0118_ACDC_4597),
+];
+
+#[test]
+fn score_bits_are_pinned() {
+    use noisy_pooled_data::core::distributed::SelectionStrategy;
+    use noisy_pooled_data::core::{Centering, DesignSpec, IncrementalSim, Run};
+
+    // Γ = 37 on n = 120, m = 90: the doubly regular design deals ragged
+    // pools of 37 and 38 slots, which the slot-sum centering must track.
+    let pin_run = |noise: NoiseModel, design: DesignSpec, seed: u64| -> Run {
+        Instance::builder(120)
+            .k(4)
+            .queries(90)
+            .query_size(37)
+            .noise(noise)
+            .design(design)
+            .build()
+            .expect("valid pin configuration")
+            .sample(&mut StdRng::seed_from_u64(seed))
+    };
+    let noises = [
+        NoiseModel::Noiseless,
+        NoiseModel::z_channel(0.2),
+        NoiseModel::channel(0.1, 0.05),
+        NoiseModel::gaussian(1.0),
+    ];
+    let runs: Vec<Run> = [DesignSpec::Iid, DesignSpec::DoublyRegular]
+        .into_iter()
+        .flat_map(|design| noises.map(move |noise| (design, noise)))
+        .enumerate()
+        .map(|(i, (design, noise))| pin_run(noise, design, 0x5C0E + i as u64))
+        .collect();
+    let centered = |centering: Centering| -> u64 {
+        let decoder = GreedyDecoder::with_centering(centering);
+        let scores: Vec<Vec<f64>> = runs.iter().map(|run| decoder.scores(run)).collect();
+        let views: Vec<&[f64]> = scores.iter().map(Vec::as_slice).collect();
+        score_fingerprint(&views)
+    };
+
+    let decoder = GreedyDecoder::new();
+    let gaussian = pin_run(NoiseModel::gaussian(2.0), DesignSpec::Iid, 0x5C1E);
+    let winsorized = decoder.scores_winsorized(&gaussian);
+    assert_ne!(
+        winsorized,
+        decoder.scores(&gaussian),
+        "the winsorize clamp never engaged"
+    );
+    let z_run = &runs[1];
+    let exclude: Vec<bool> = (0..z_run.results().len()).map(|j| j % 7 == 3).collect();
+    let trimmed = decoder.scores_trimmed(z_run, &exclude);
+    let channel_run = &runs[6];
+    let with_rate = decoder.scores_with_slot_rate(channel_run, 0.0375);
+    let prior: Vec<f64> = (0..120).map(|i| 0.01 + 0.0005 * i as f64).collect();
+    let (plain, posterior) = decoder.scores_with_posterior(channel_run, &prior);
+
+    let incremental = |design: DesignSpec, seed: u64| -> u64 {
+        let noise = NoiseModel::channel(0.1, 0.05);
+        let mut sim = IncrementalSim::with_design(150, 4, 30, noise, design, seed);
+        for _ in 0..200 {
+            sim.add_query();
+        }
+        score_fingerprint(&[&sim.scores()])
+    };
+    let protocol = |strategy: SelectionStrategy| -> u64 {
+        let outcome = distributed::run_protocol_with(channel_run, strategy).unwrap();
+        score_fingerprint(&[outcome.estimate.scores()])
+    };
+
+    let got: [(&str, u64); 14] = [
+        ("greedy/noise-aware", centered(Centering::NoiseAware)),
+        ("greedy/plain", centered(Centering::Plain)),
+        ("fold/winsorize", score_fingerprint(&[&winsorized])),
+        ("fold/trim", score_fingerprint(&[&trimmed])),
+        ("fold/slot-rate", score_fingerprint(&[&with_rate])),
+        ("posterior/scores", score_fingerprint(&[&plain])),
+        ("posterior/log-odds", score_fingerprint(&[&posterior])),
+        ("incremental/iid", incremental(DesignSpec::Iid, 71)),
+        (
+            "incremental/subset",
+            incremental(DesignSpec::GammaSubset, 72),
+        ),
+        (
+            "incremental/deck",
+            incremental(DesignSpec::BalancedDeck, 73),
+        ),
+        (
+            "incremental/bernoulli",
+            incremental(DesignSpec::SparseColumn, 74),
+        ),
+        (
+            "incremental/banded",
+            incremental(DesignSpec::SpatiallyCoupled { bands: 4 }, 75),
+        ),
+        ("protocol/batcher", protocol(SelectionStrategy::BatcherSort)),
+        ("protocol/gossip", protocol(SelectionStrategy::gossip())),
+    ];
+    let moved: Vec<String> = SCORE_PINS
+        .iter()
+        .zip(&got)
+        .filter(|(pin, now)| pin != now)
+        .map(|((name, pin), (_, now))| format!("{name}: pinned {pin:#018X}, got {now:#018X}"))
+        .collect();
+    assert!(moved.is_empty(), "score pins moved:\n{}", moved.join("\n"));
+}
