@@ -8,7 +8,7 @@
 //!   `BENCH_baseline.json` snapshot tracks;
 //! * `oneshot` — the current public one-shot entry points (cached
 //!   transpose for AMP, but fresh workspace buffers per call);
-//! * `reuse` — the workspace-reuse paths (`scores_using`, `solve_with`,
+//! * `reuse` — the workspace-reuse paths (`scores_with`, `solve_with`,
 //!   `decode_with_trace_using`).
 //!
 //! Every variant is pinned to a single-threaded rayon pool so the numbers
@@ -18,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use npd_amp::{AmpConfig, AmpDecoder, AmpWorkspace, BayesBernoulli, Denoiser};
 use npd_bench::sample_run;
-use npd_core::{Estimate, GreedyDecoder, GreedyWorkspace, NoiseModel, Run};
+use npd_core::{Estimate, GreedyDecoder, GreedyWorkspace, NoiseModel, Run, ScoreOptions};
 use npd_decoders::{BpDecoder, BpWorkspace};
 use npd_numerics::vector;
 use std::hint::black_box;
@@ -136,7 +136,11 @@ fn bench_greedy(c: &mut Criterion) {
         });
         let mut ws = GreedyWorkspace::new();
         group.bench_function(BenchmarkId::new("reuse", format!("n={n}")), |b| {
-            b.iter(|| pool.install(|| black_box(decoder.scores_using(&run, &mut ws))))
+            b.iter(|| {
+                pool.install(|| {
+                    black_box(decoder.scores_with(&run, ScoreOptions::default(), &mut ws))
+                })
+            })
         });
     }
     group.finish();

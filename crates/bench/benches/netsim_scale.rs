@@ -10,7 +10,7 @@
 //! per-agent-step throughput).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use npd_core::distributed::{self, SelectionStrategy};
+use npd_core::distributed::{self, ProtocolOptions, SelectionStrategy};
 use npd_core::{Instance, NoiseModel};
 use npd_netsim::{Activity, Context, Network, Node, Topology};
 use rand::rngs::StdRng;
@@ -134,6 +134,10 @@ fn bench_protocol_e2e(c: &mut Criterion) {
     if std::env::var("NETSIM_SCALE_FULL").is_ok() {
         points.push((1 << 20, 1024, 256, 4096));
     }
+    let gossip = ProtocolOptions {
+        strategy: SelectionStrategy::gossip(),
+        ..ProtocolOptions::default()
+    };
     for (n, k, m, gamma) in points {
         let run = e2e_run(n, k, m, gamma);
         group.bench_with_input(
@@ -141,8 +145,8 @@ fn bench_protocol_e2e(c: &mut Criterion) {
             &run,
             |b, run| {
                 b.iter(|| {
-                    let outcome = distributed::run_protocol_with(run, SelectionStrategy::gossip())
-                        .expect("protocol quiesces");
+                    let outcome =
+                        distributed::run_protocol_chaos(run, gossip).expect("protocol quiesces");
                     assert_eq!(outcome.missing_assignments, 0);
                     black_box(outcome.rounds)
                 });

@@ -4,7 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use npd_bench::sample_run;
-use npd_core::{distributed, Decoder, GreedyDecoder, NoiseModel};
+use npd_core::distributed::{self, ProtocolOptions};
+use npd_core::{Decoder, GreedyDecoder, NoiseModel};
 use std::hint::black_box;
 
 fn bench_protocol(c: &mut Criterion) {
@@ -13,7 +14,8 @@ fn bench_protocol(c: &mut Criterion) {
     for &n in &[256usize, 1_024] {
         let run = sample_run(n, 4, n / 2, NoiseModel::z_channel(0.1), 7);
         group.bench_with_input(BenchmarkId::new("netsim", n), &run, |b, run| {
-            b.iter(|| black_box(distributed::run_protocol(run).expect("quiesces")));
+            let options = ProtocolOptions::default();
+            b.iter(|| black_box(distributed::run_protocol_chaos(run, options).expect("quiesces")));
         });
         group.bench_with_input(BenchmarkId::new("sequential", n), &run, |b, run| {
             let decoder = GreedyDecoder::new();

@@ -7,7 +7,11 @@
 //! 1. **Measure in parallel** (round 0): each query node sends its noisy
 //!    result `σ̂ⱼ` to every *distinct* member `∂*aⱼ`.
 //! 2. **Accumulate** (round 1): each agent folds the incoming measurements
-//!    into `Ψᵢ` and `Δ*ᵢ` and forms its score `Ψᵢ − Δ*ᵢ·k/2`.
+//!    into `Ψᵢ`, `Δ*ᵢ`, `Δᵢ` and `Σ_{j∈∂*i}|∂aⱼ|` and forms the
+//!    noise-aware score `Ψᵢ − (Σ_{j∈∂*i}|∂aⱼ| − Δᵢ)·(q + k(1−p−q)/(n−1))`
+//!    ([`crate::Centering::NoiseAware`]; the printed `Ψᵢ − Δ*ᵢ·k/2` exists
+//!    only in the sequential decoder, as the ablation's
+//!    [`crate::Centering::Plain`]).
 //! 3. **Select the top `k`** (phase II): pluggable via
 //!    [`SelectionStrategy`] —
 //!    * [`SelectionStrategy::BatcherSort`]: agents run a Batcher odd-even
@@ -25,9 +29,12 @@
 //!    is no assignment traffic at all.
 //!
 //! The output of both strategies is *bit-identical* to
-//! [`crate::GreedyDecoder`] (same summation order, same deterministic
-//! tie-breaking), which the test-suite asserts — the distributed variants
-//! are equivalent, exactly as claimed in Section III.
+//! [`crate::GreedyDecoder`], exactly as claimed in Section III: agents fold
+//! their measurements through the sequential decoder's own accumulator
+//! kernel (same expressions, same summation order — query senders arrive
+//! in ascending id order), and selection breaks ties toward the smaller
+//! agent id just like [`crate::Estimate::from_scores`]. The equivalence
+//! tests check it.
 //!
 //! Under fault injection the protocol degrades gracefully rather than
 //! deadlocking or corrupting state: sort tokens carry their layer and
@@ -56,7 +63,8 @@
 //!   late `Assign`, counts everything else as stale, and sends nothing.
 //! * Corrupted payloads stay finite (see the garbler) and are folded like
 //!   any other arrival; [`ProtocolOptions::winsorize`] clamps measurement
-//!   values into the plausible `[0, slots]` range to bound the damage.
+//!   values into the plausible `[0, slots]` range to bound the damage
+//!   (the sequential [`crate::Fold::Winsorize`]).
 //! * Measurements are deduplicated per query sender, so duplication
 //!   faults and at-least-once retransmission never double-count.
 //! * [`ProtocolOutcome::achieved_quorum`] and
@@ -65,7 +73,7 @@
 //!   straggler, retry, and grace slack so chaos runs still terminate
 //!   instead of hitting `MaxRoundsExceeded`.
 
-use crate::greedy::Estimate;
+use crate::greedy::{Estimate, ScoreAccumulator};
 use crate::model::Run;
 use npd_netsim::gossip::{TopKCore, TopKMsg, PROBE_LIMIT};
 use npd_netsim::{
@@ -253,11 +261,8 @@ struct AgentState {
     /// Crashed and rejoined with wiped state ([`Node::on_restart`]):
     /// passive for the rest of the run.
     restarted: bool,
-    psi: f64,
-    distinct: u32,
-    multi: u64,
-    /// Total slots of the queries heard from (`Σ_{j∈∂*i} |∂aⱼ|`).
-    slot_sum: u64,
+    /// The greedy sums of the measurements folded so far.
+    sums: ScoreAccumulator,
     score: f64,
     /// Stale arrivals counted and ignored (wrong-layer tokens under
     /// `BatcherSort`, out-of-phase gossip messages under
@@ -292,10 +297,7 @@ impl Node<ProtocolMessage> for ProtocolNode {
             // a restart cannot replay; there is nothing to wipe.
             ProtocolNode::Query(_) => {}
             ProtocolNode::Agent(a) => {
-                a.psi = 0.0;
-                a.distinct = 0;
-                a.multi = 0;
-                a.slot_sum = 0;
+                a.sums = ScoreAccumulator::default();
                 a.score = 0.0;
                 a.heard.clear();
                 a.output = None;
@@ -364,10 +366,7 @@ impl AgentState {
         }
         if r == score_round {
             self.fold_measurements(ctx);
-            // Identical expression (and evaluation order) to the sequential
-            // decoder, so the two implementations agree bit-for-bit.
-            let slots = (self.slot_sum - self.multi) as f64;
-            self.score = self.psi - slots * self.slot_rate;
+            self.score = self.sums.score(self.slot_rate);
             return match &mut self.phase2 {
                 Phase2::Batcher {
                     schedule,
@@ -449,18 +448,9 @@ impl AgentState {
                     continue;
                 }
                 self.heard.push(from);
-                let value = if self.winsorize {
-                    // A true query result counts ones over `slots` reads,
-                    // so anything outside [0, slots] is noise or
-                    // corruption; clamping bounds its leverage on Ψᵢ.
-                    value.clamp(0.0, slots as f64)
-                } else {
-                    value
-                };
-                self.psi += value;
-                self.distinct += 1;
-                self.multi += multiplicity as u64;
-                self.slot_sum += slots as u64;
+                let slots = u64::from(slots);
+                let value = ScoreAccumulator::admit(value, slots, self.winsorize);
+                self.sums.fold(value, u64::from(multiplicity), slots);
             }
         }
     }
@@ -642,10 +632,6 @@ pub struct ProtocolOutcome {
     /// crashed/restarted out of the selection (either strategy under a
     /// [`NodeFaultPlan`]); they default to bit zero.
     pub missing_assignments: usize,
-    /// Number of agents that completed phase II with a decision — the
-    /// achieved quorum of the (possibly degraded) run. Equals `n` on
-    /// fault-free networks and `n − missing_assignments` in general.
-    pub achieved_quorum: usize,
     /// Per-agent liveness at the final round: `false` for agents down
     /// under the crash schedule (all `true` without a [`NodeFaultPlan`]).
     /// Restarted agents are alive but participated only passively.
@@ -657,102 +643,13 @@ pub struct ProtocolOutcome {
     pub node_traffic: Vec<NodeTraffic>,
 }
 
-/// Runs the distributed protocol for a sampled [`Run`] on a fault-free
-/// network with the default [`SelectionStrategy::BatcherSort`].
-///
-/// # Errors
-///
-/// Returns [`MaxRoundsExceeded`] if the network fails to quiesce — which
-/// indicates a bug, as the fault-free protocol always terminates after
-/// `depth + 3` rounds.
-///
-/// # Examples
-///
-/// ```
-/// use npd_core::{distributed, Decoder, GreedyDecoder, Instance};
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let run = Instance::builder(64).k(2).queries(60).build().unwrap().sample(&mut rng);
-/// let outcome = distributed::run_protocol(&run).unwrap();
-/// assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
-/// ```
-pub fn run_protocol(run: &Run) -> Result<ProtocolOutcome, MaxRoundsExceeded> {
-    run_protocol_configured(run, SelectionStrategy::default(), None)
-}
-
-/// Runs the protocol on a fault-free network with an explicit phase-II
-/// strategy.
-///
-/// Both strategies produce output bit-identical to the sequential decoder
-/// on fault-free networks (pinned by the equivalence tests).
-///
-/// # Errors
-///
-/// Returns [`MaxRoundsExceeded`] if the network fails to quiesce.
-///
-/// # Examples
-///
-/// ```
-/// use npd_core::distributed::{self, SelectionStrategy};
-/// use npd_core::Instance;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let run = Instance::builder(64).k(2).queries(60).build().unwrap().sample(&mut rng);
-/// let sorted = distributed::run_protocol(&run).unwrap();
-/// let gossip =
-///     distributed::run_protocol_with(&run, SelectionStrategy::gossip()).unwrap();
-/// assert_eq!(sorted.estimate, gossip.estimate);
-/// assert_eq!(gossip.sort_depth, 0); // no sorting network was built
-/// ```
-pub fn run_protocol_with(
-    run: &Run,
-    strategy: SelectionStrategy,
-) -> Result<ProtocolOutcome, MaxRoundsExceeded> {
-    run_protocol_configured(run, strategy, None)
-}
-
-/// Runs the distributed protocol with message fault injection (default
-/// [`SelectionStrategy::BatcherSort`]).
-///
-/// See the module docs for the degradation semantics; correctness of the
-/// sort requires reliable delivery, so dropped token or assignment messages
-/// surface as reconstruction errors and
-/// [`missing_assignments`](ProtocolOutcome::missing_assignments), never as
-/// deadlock.
-///
-/// # Errors
-///
-/// Returns [`MaxRoundsExceeded`] if the network fails to quiesce.
-pub fn run_protocol_with_faults(
-    run: &Run,
-    faults: FaultConfig,
-) -> Result<ProtocolOutcome, MaxRoundsExceeded> {
-    run_protocol_configured(run, SelectionStrategy::default(), Some(faults))
-}
-
-/// The message-fault entry point: explicit strategy, optional message
-/// fault injection. See [`run_protocol_chaos`] for agent-level faults.
-///
-/// # Errors
-///
-/// Returns [`MaxRoundsExceeded`] if the network fails to quiesce within
-/// the strategy's round budget (which includes the fault model's maximum
-/// message delay).
-pub fn run_protocol_configured(
-    run: &Run,
-    strategy: SelectionStrategy,
-    faults: Option<FaultConfig>,
-) -> Result<ProtocolOutcome, MaxRoundsExceeded> {
-    run_protocol_chaos(
-        run,
-        ProtocolOptions {
-            strategy,
-            faults,
-            ..ProtocolOptions::default()
-        },
-    )
+impl ProtocolOutcome {
+    /// Number of agents that completed phase II with a decision — the
+    /// achieved quorum of the (possibly degraded) run:
+    /// `n − missing_assignments`, so `n` on fault-free networks.
+    pub fn achieved_quorum(&self) -> usize {
+        self.estimate.n() - self.missing_assignments
+    }
 }
 
 /// Configuration of a chaos run: phase-II strategy plus every fault
@@ -779,6 +676,11 @@ pub struct ProtocolOptions {
     /// range, bounding the leverage of corrupted (or extremely noisy)
     /// measurements on the scores. Off by default: clamping biases
     /// Gaussian noise, so it is a robustness trade, not a free win.
+    ///
+    /// This is [`crate::Fold::Winsorize`] run by the agents: both folds
+    /// clamp through the same accumulator kernel, so on a fault-free
+    /// network the protocol's scores equal
+    /// [`crate::GreedyDecoder::scores_with`] under that fold bit for bit.
     pub winsorize: bool,
     /// Override the network shard count (default:
     /// [`recommended_shards`] over all `n + m` nodes). The outcome —
@@ -825,10 +727,36 @@ fn garble_protocol_message(msg: &mut ProtocolMessage, entropy: u64) {
 /// that terminates degraded still terminates *cleanly* — see the module
 /// docs for the degradation contract.
 ///
+/// On a fault-free network (the default options) both selection
+/// strategies reproduce [`crate::GreedyDecoder`] bit for bit, and the
+/// fault-free run always terminates after `depth + 3` rounds under
+/// [`SelectionStrategy::BatcherSort`].
+///
 /// # Errors
 ///
 /// Returns [`MaxRoundsExceeded`] if the network fails to quiesce within
 /// that budget, which indicates a bug rather than a survivable fault.
+///
+/// # Examples
+///
+/// ```
+/// use npd_core::distributed::{self, ProtocolOptions, SelectionStrategy};
+/// use npd_core::{Decoder, GreedyDecoder, Instance};
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+/// let run = Instance::builder(64).k(2).queries(60).build().unwrap().sample(&mut rng);
+/// let sorted = distributed::run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
+/// assert_eq!(sorted.estimate, GreedyDecoder::new().decode(&run));
+///
+/// let gossip = ProtocolOptions {
+///     strategy: SelectionStrategy::gossip(),
+///     ..ProtocolOptions::default()
+/// };
+/// let gossip = distributed::run_protocol_chaos(&run, gossip).unwrap();
+/// assert_eq!(sorted.estimate, gossip.estimate);
+/// assert_eq!(gossip.sort_depth, 0); // no sorting network was built
+/// ```
 pub fn run_protocol_chaos(
     run: &Run,
     options: ProtocolOptions,
@@ -902,10 +830,7 @@ pub fn run_protocol_chaos_traced(
             winsorize: options.winsorize,
             heard: Vec::new(),
             restarted: false,
-            psi: 0.0,
-            distinct: 0,
-            multi: 0,
-            slot_sum: 0,
+            sums: ScoreAccumulator::default(),
             score: 0.0,
             stale: 0,
             output: None,
@@ -1025,6 +950,22 @@ pub fn run_protocol_chaos_traced(
         .messages_sent
         .saturating_sub(measurement_messages + assign_messages);
 
+    let outcome = ProtocolOutcome {
+        estimate: Estimate::from_parts(bits, scores),
+        rounds: report.rounds,
+        metrics,
+        strategy,
+        sort_depth,
+        probes,
+        selection_rounds,
+        selection_messages,
+        stale_messages: stale,
+        missing_assignments: missing,
+        agent_liveness,
+        restarted_agents,
+        node_traffic,
+    };
+
     if telemetry.is_enabled() {
         // Phase boundaries mirror the selection_rounds arithmetic above:
         // measurement broadcast is round 0, accumulation spans the grace
@@ -1076,26 +1017,10 @@ pub fn run_protocol_chaos_traced(
         telemetry.add("probes", u64::from(probes));
         telemetry.add("selection_rounds", selection_rounds);
         telemetry.add("missing_assignments", missing as u64);
-        telemetry.add("achieved_quorum", (n - missing) as u64);
+        telemetry.add("achieved_quorum", outcome.achieved_quorum() as u64);
         telemetry.add("restarted_agents", restarted_agents as u64);
     }
-
-    Ok(ProtocolOutcome {
-        estimate: Estimate::from_parts(bits, scores),
-        rounds: report.rounds,
-        metrics,
-        strategy,
-        sort_depth,
-        probes,
-        selection_rounds,
-        selection_messages,
-        stale_messages: stale,
-        missing_assignments: missing,
-        achieved_quorum: n - missing,
-        agent_liveness,
-        restarted_agents,
-        node_traffic,
-    })
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -1106,6 +1031,14 @@ mod tests {
     use crate::noise::NoiseModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn options(strategy: SelectionStrategy, faults: Option<FaultConfig>) -> ProtocolOptions {
+        ProtocolOptions {
+            strategy,
+            faults,
+            ..ProtocolOptions::default()
+        }
+    }
 
     fn sample_run(n: usize, k: usize, m: usize, noise: NoiseModel, seed: u64) -> Run {
         Instance::builder(n)
@@ -1121,7 +1054,7 @@ mod tests {
     fn matches_sequential_decoder_noiseless() {
         for seed in 0..4 {
             let run = sample_run(64, 3, 50, NoiseModel::Noiseless, seed);
-            let outcome = run_protocol(&run).unwrap();
+            let outcome = run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
             let sequential = GreedyDecoder::new().decode(&run);
             assert_eq!(outcome.estimate, sequential, "seed={seed}");
             assert_eq!(outcome.missing_assignments, 0);
@@ -1133,7 +1066,7 @@ mod tests {
         let channel = sample_run(50, 2, 40, NoiseModel::z_channel(0.3), 10);
         let gaussian = sample_run(50, 2, 40, NoiseModel::gaussian(2.0), 11);
         for run in [channel, gaussian] {
-            let outcome = run_protocol(&run).unwrap();
+            let outcome = run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
             assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
         }
     }
@@ -1142,7 +1075,7 @@ mod tests {
     fn matches_sequential_on_non_power_of_two_sizes() {
         for n in [5usize, 17, 33, 100] {
             let run = sample_run(n, 2.min(n), 30, NoiseModel::Noiseless, n as u64);
-            let outcome = run_protocol(&run).unwrap();
+            let outcome = run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
             assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run), "n={n}");
         }
     }
@@ -1160,7 +1093,8 @@ mod tests {
             (3, NoiseModel::gaussian(1.5)),
         ] {
             let run = sample_run(96, 3, 60, noise, seed);
-            let outcome = run_protocol_with(&run, SelectionStrategy::gossip()).unwrap();
+            let outcome =
+                run_protocol_chaos(&run, options(SelectionStrategy::gossip(), None)).unwrap();
             let sequential = GreedyDecoder::new().decode(&run);
             assert_eq!(outcome.estimate, sequential, "noise={noise}");
             assert_eq!(outcome.missing_assignments, 0);
@@ -1168,7 +1102,8 @@ mod tests {
         }
         for n in [2usize, 3, 5, 17, 33, 100] {
             let run = sample_run(n, 2.min(n), 30, NoiseModel::Noiseless, 40 + n as u64);
-            let outcome = run_protocol_with(&run, SelectionStrategy::gossip()).unwrap();
+            let outcome =
+                run_protocol_chaos(&run, options(SelectionStrategy::gossip(), None)).unwrap();
             assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run), "n={n}");
         }
     }
@@ -1179,7 +1114,7 @@ mod tests {
     #[test]
     fn gossip_strategy_skips_sorting_network_and_assignments() {
         let run = sample_run(64, 3, 80, NoiseModel::gaussian(1.0), 9);
-        let outcome = run_protocol_with(&run, SelectionStrategy::gossip()).unwrap();
+        let outcome = run_protocol_chaos(&run, options(SelectionStrategy::gossip(), None)).unwrap();
         assert_eq!(outcome.strategy, SelectionStrategy::gossip());
         assert_eq!(outcome.sort_depth, 0);
         assert!(outcome.probes > 0, "adaptive bisection must probe");
@@ -1200,7 +1135,7 @@ mod tests {
     #[test]
     fn round_count_is_depth_plus_three() {
         let run = sample_run(32, 2, 10, NoiseModel::Noiseless, 1);
-        let outcome = run_protocol(&run).unwrap();
+        let outcome = run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
         assert_eq!(outcome.rounds, outcome.sort_depth as u64 + 3);
         assert_eq!(outcome.selection_rounds, outcome.sort_depth as u64);
     }
@@ -1210,7 +1145,7 @@ mod tests {
         // Messages = Σⱼ|∂*aⱼ| (measurements) + 2·comparators (tokens)
         //          + n (assignments).
         let run = sample_run(40, 2, 12, NoiseModel::Noiseless, 2);
-        let outcome = run_protocol(&run).unwrap();
+        let outcome = run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
         let measurement_msgs: u64 = run
             .graph()
             .queries()
@@ -1229,7 +1164,7 @@ mod tests {
         // exactly once (one active send round, one message per distinct
         // member), and never receives anything.
         let run = sample_run(30, 2, 8, NoiseModel::Noiseless, 3);
-        let outcome = run_protocol(&run).unwrap();
+        let outcome = run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
         let n = 30;
         for (j, q) in run.graph().queries().iter().enumerate() {
             let t = outcome.node_traffic[n + j];
@@ -1252,7 +1187,7 @@ mod tests {
     fn tiny_populations() {
         for n in [2usize, 3] {
             let run = sample_run(n, 1, 6, NoiseModel::Noiseless, 7);
-            let outcome = run_protocol(&run).unwrap();
+            let outcome = run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
             assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run), "n={n}");
         }
     }
@@ -1264,7 +1199,9 @@ mod tests {
         // (Fault seed re-picked for the per-message-identity fault RNG.)
         let run = sample_run(64, 2, 120, NoiseModel::Noiseless, 22);
         let faults = FaultConfig::new(0.01, 0.0, 1).unwrap();
-        let outcome = run_protocol_with_faults(&run, faults).unwrap();
+        let outcome =
+            run_protocol_chaos(&run, options(SelectionStrategy::BatcherSort, Some(faults)))
+                .unwrap();
         assert!(outcome.metrics.messages_dropped > 0);
         assert_eq!(outcome.estimate.ones(), run.ground_truth().ones());
     }
@@ -1273,7 +1210,9 @@ mod tests {
     fn heavy_drops_degrade_but_terminate() {
         let run = sample_run(32, 2, 40, NoiseModel::Noiseless, 22);
         let faults = FaultConfig::new(0.5, 0.0, 6).unwrap();
-        let outcome = run_protocol_with_faults(&run, faults).unwrap();
+        let outcome =
+            run_protocol_chaos(&run, options(SelectionStrategy::BatcherSort, Some(faults)))
+                .unwrap();
         // Termination and shape are guaranteed; correctness is not.
         assert_eq!(outcome.estimate.bits().len(), 32);
         assert!(outcome.rounds <= outcome.sort_depth as u64 + 5);
@@ -1283,7 +1222,9 @@ mod tests {
     fn duplication_faults_terminate() {
         let run = sample_run(16, 1, 10, NoiseModel::Noiseless, 23);
         let faults = FaultConfig::new(0.0, 0.3, 7).unwrap();
-        let outcome = run_protocol_with_faults(&run, faults).unwrap();
+        let outcome =
+            run_protocol_chaos(&run, options(SelectionStrategy::BatcherSort, Some(faults)))
+                .unwrap();
         assert_eq!(outcome.estimate.bits().len(), 16);
     }
 
@@ -1340,7 +1281,9 @@ mod tests {
         for seed in 0..12u64 {
             let run = sample_run(32, 3, 120, NoiseModel::Noiseless, 50 + seed);
             let faults = FaultConfig::new(0.0, 0.0, seed).unwrap().with_max_delay(2);
-            let outcome = run_protocol_with_faults(&run, faults).unwrap();
+            let outcome =
+                run_protocol_chaos(&run, options(SelectionStrategy::BatcherSort, Some(faults)))
+                    .unwrap();
             assert_eq!(outcome.estimate.bits().len(), 32, "seed={seed}");
             saw_stale |= outcome.stale_messages > 0;
         }
@@ -1358,8 +1301,9 @@ mod tests {
         for seed in 0..10u64 {
             let run = sample_run(24, 2, 60, NoiseModel::Noiseless, 80 + seed);
             let faults = FaultConfig::new(0.0, 0.0, seed).unwrap().with_max_delay(6);
-            let outcome = run_protocol_with_faults(&run, faults)
-                .unwrap_or_else(|e| panic!("seed={seed}: spurious {e}"));
+            let outcome =
+                run_protocol_chaos(&run, options(SelectionStrategy::BatcherSort, Some(faults)))
+                    .unwrap_or_else(|e| panic!("seed={seed}: spurious {e}"));
             assert_eq!(outcome.estimate.bits().len(), 24);
             saw_delay |= outcome.metrics.messages_delayed > 0;
         }
@@ -1377,8 +1321,9 @@ mod tests {
             let faults = FaultConfig::new(drop, dup, seed)
                 .unwrap()
                 .with_max_delay(delay);
-            let outcome = run_protocol_configured(&run, SelectionStrategy::gossip(), Some(faults))
-                .expect("gossip protocol must terminate under faults");
+            let outcome =
+                run_protocol_chaos(&run, options(SelectionStrategy::gossip(), Some(faults)))
+                    .expect("gossip protocol must terminate under faults");
             assert_eq!(outcome.estimate.bits().len(), 48);
             assert_eq!(outcome.missing_assignments, 0, "gossip decisions are local");
         }
@@ -1422,11 +1367,11 @@ mod tests {
             assert!(outcome.metrics.node_crashes > 0, "{strategy}");
             assert!(outcome.metrics.messages_corrupted > 0, "{strategy}");
             assert!(
-                outcome.achieved_quorum < 64 && outcome.achieved_quorum > 32,
+                outcome.achieved_quorum() < 64 && outcome.achieved_quorum() > 32,
                 "{strategy}: quorum {}",
-                outcome.achieved_quorum
+                outcome.achieved_quorum()
             );
-            assert_eq!(outcome.achieved_quorum, 64 - outcome.missing_assignments);
+            assert_eq!(outcome.achieved_quorum(), 64 - outcome.missing_assignments);
             assert_eq!(outcome.agent_liveness.len(), 64);
             assert!(
                 outcome.agent_liveness.iter().any(|&alive| !alive),
@@ -1462,7 +1407,7 @@ mod tests {
             // Everyone is back up at the end; the quorum gap is exactly
             // the restarted agents that missed their (re)assignment.
             assert!(outcome.agent_liveness.iter().all(|&alive| alive));
-            assert_eq!(outcome.achieved_quorum + outcome.missing_assignments, 32);
+            assert_eq!(outcome.achieved_quorum() + outcome.missing_assignments, 32);
         }
     }
 
@@ -1543,9 +1488,11 @@ mod tests {
     #[test]
     fn tight_probe_limit_still_selects() {
         let run = sample_run(48, 3, 70, NoiseModel::gaussian(1.0), 8);
-        let outcome =
-            run_protocol_with(&run, SelectionStrategy::GossipThreshold { probe_limit: 40 })
-                .expect("tight-cap run must complete");
+        let outcome = run_protocol_chaos(
+            &run,
+            options(SelectionStrategy::GossipThreshold { probe_limit: 40 }, None),
+        )
+        .expect("tight-cap run must complete");
         assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
         assert!(outcome.probes <= 40);
     }

@@ -21,6 +21,7 @@
 //! one-dimensional root-finding problem solved by bisection. For the
 //! Z-channel (`q = 0` known a priori) the mean equation alone suffices.
 
+use crate::greedy::{second_neighborhood_rate, Fold, GreedyDecoder, GreedyWorkspace, ScoreOptions};
 use crate::model::Run;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -135,8 +136,18 @@ pub fn estimate_slot_rate(run: &Run) -> Result<f64, EstimationError> {
 /// queries.
 pub fn decode_with_estimated_noise(run: &Run) -> Result<crate::Estimate, EstimationError> {
     let rate = estimate_slot_rate(run)?;
-    let scores = crate::GreedyDecoder::new().scores_with_slot_rate(run, rate);
-    Ok(crate::Estimate::from_scores(scores, run.instance().k()))
+    Ok(decode_at_rate(run, rate, Fold::Plain, run.instance().k()))
+}
+
+/// Greedy top-`k` under the noise-aware centering at an explicit slot
+/// rate, folding the queries as `fold` says.
+fn decode_at_rate(run: &Run, slot_rate: f64, fold: Fold<'_>, k: usize) -> crate::Estimate {
+    let options = ScoreOptions {
+        slot_rate: Some(slot_rate),
+        fold,
+    };
+    let scores = GreedyDecoder::new().scores_with(run, options, &mut GreedyWorkspace::new());
+    crate::Estimate::from_scores(scores, k)
 }
 
 /// Flags queries whose results look corrupted, by a robust outlier rule on
@@ -196,8 +207,8 @@ pub fn flag_corrupted_queries(run: &Run, z: f64) -> Vec<bool> {
 }
 
 /// [`estimate_slot_rate`] restricted to the queries *not* flagged in
-/// `exclude` — the robust moment estimate to pair with
-/// [`crate::GreedyDecoder::scores_trimmed_with_slot_rate`]: a handful of
+/// `exclude` — the robust moment estimate to pair with a
+/// [`Fold::Trim`] of the same mask: a handful of
 /// garbled results shift the plain first moment by an unbounded amount,
 /// so the trimmed decoder must not center with it.
 ///
@@ -252,8 +263,12 @@ pub fn estimate_slot_rate_trimmed(run: &Run, exclude: &[bool]) -> Result<f64, Es
 pub fn decode_trimmed(run: &Run, z: f64) -> Result<crate::Estimate, EstimationError> {
     let exclude = flag_corrupted_queries(run, z);
     let rate = estimate_slot_rate_trimmed(run, &exclude)?;
-    let scores = crate::GreedyDecoder::new().scores_trimmed_with_slot_rate(run, rate, &exclude);
-    Ok(crate::Estimate::from_scores(scores, run.instance().k()))
+    Ok(decode_at_rate(
+        run,
+        rate,
+        Fold::Trim(&exclude),
+        run.instance().k(),
+    ))
 }
 
 /// Estimates both channel parameters `(p, q)` by the method of moments.
@@ -383,10 +398,7 @@ pub fn estimate_k(run: &Run) -> Result<usize, EstimationError> {
         return Err(EstimationError::TooFewQueries);
     }
     let instance = run.instance();
-    let (p, q) = match *instance.noise() {
-        crate::NoiseModel::Channel { p, q } => (p, q),
-        crate::NoiseModel::Noiseless | crate::NoiseModel::Query { .. } => (0.0, 0.0),
-    };
+    let (p, q) = instance.noise().flip_rates();
     let mean = run.results().iter().sum::<f64>() / run.results().len() as f64;
     let slot_rate = mean / run.graph().mean_query_slots();
     let k = instance.n() as f64 * (slot_rate - q) / (1.0 - p - q);
@@ -425,10 +437,7 @@ pub fn estimate_k_with_prior(run: &Run, prior: &[f64]) -> Result<usize, Estimati
     if results.len() < 2 {
         return Err(EstimationError::TooFewQueries);
     }
-    let (p, q) = match *instance.noise() {
-        crate::NoiseModel::Channel { p, q } => (p, q),
-        crate::NoiseModel::Noiseless | crate::NoiseModel::Query { .. } => (0.0, 0.0),
-    };
+    let (p, q) = instance.noise().flip_rates();
     let m = results.len() as f64;
     let mean = results.iter().sum::<f64>() / m;
     let var = results.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (m - 1.0);
@@ -465,7 +474,7 @@ pub fn estimate_k_with_prior(run: &Run, prior: &[f64]) -> Result<usize, Estimati
 /// cut and the scores informed by the population prior.
 ///
 /// Combines [`estimate_k_with_prior`] (posterior `k̂`) with
-/// [`crate::GreedyDecoder::posterior_scores`] (per-agent log-prior-odds in
+/// [`GreedyDecoder::scores_with_posterior`] (per-agent log-prior-odds in
 /// the ranking); the structured-workload counterpart of
 /// [`decode_with_estimated_k`].
 ///
@@ -479,8 +488,8 @@ pub fn estimate_k_with_prior(run: &Run, prior: &[f64]) -> Result<usize, Estimati
 /// Panics if `prior.len() != n` or any `πᵢ ∉ [0, 1]`.
 pub fn decode_with_prior(run: &Run, prior: &[f64]) -> Result<crate::Estimate, EstimationError> {
     let k_hat = estimate_k_with_prior(run, prior)?;
-    let scores = crate::GreedyDecoder::new().posterior_scores(run, prior);
-    Ok(crate::Estimate::from_scores(scores, k_hat))
+    let (_, posterior) = GreedyDecoder::new().scores_with_posterior(run, prior);
+    Ok(crate::Estimate::from_scores(posterior, k_hat))
 }
 
 /// Runs the greedy decoder with `k` *estimated from the data* instead of
@@ -499,14 +508,9 @@ pub fn decode_with_prior(run: &Run, prior: &[f64]) -> Result<crate::Estimate, Es
 pub fn decode_with_estimated_k(run: &Run) -> Result<crate::Estimate, EstimationError> {
     let k_hat = estimate_k(run)?;
     let instance = run.instance();
-    let (p, q) = match *instance.noise() {
-        crate::NoiseModel::Channel { p, q } => (p, q),
-        crate::NoiseModel::Noiseless | crate::NoiseModel::Query { .. } => (0.0, 0.0),
-    };
     // The analysis' slot rate with the estimated k: q + k̂(1−p−q)/(n−1).
-    let rate = q + k_hat as f64 * (1.0 - p - q) / (instance.n() as f64 - 1.0);
-    let scores = crate::GreedyDecoder::new().scores_with_slot_rate(run, rate);
-    Ok(crate::Estimate::from_scores(scores, k_hat))
+    let rate = second_neighborhood_rate(instance.n(), k_hat, instance.noise());
+    Ok(decode_at_rate(run, rate, Fold::Plain, k_hat))
 }
 
 #[cfg(test)]

@@ -175,111 +175,75 @@ impl GreedyDecoder {
     /// Exposed separately so callers can inspect the score landscape (e.g.
     /// the separation diagnostic) without re-deriving it.
     pub fn scores(&self, run: &Run) -> Vec<f64> {
-        let mut workspace = GreedyWorkspace::new();
-        self.scores_using(run, &mut workspace)
+        self.scores_with(run, ScoreOptions::default(), &mut GreedyWorkspace::new())
     }
 
-    /// [`GreedyDecoder::scores`] reusing the caller's accumulator buffers:
-    /// repeated scorings on same-sized populations touch the allocator only
-    /// for the returned score vector. Output is identical to the one-shot
-    /// path.
-    pub fn scores_using(&self, run: &Run, workspace: &mut GreedyWorkspace) -> Vec<f64> {
-        self.scores_inner(
-            run,
-            self.resolved_rate(run),
-            workspace,
-            FoldPolicy::default(),
-        )
-    }
-
-    /// Noise-aware scores with an explicit per-slot one-read rate, for use
-    /// when the channel parameters are *estimated* rather than known (see
-    /// [`crate::estimation::estimate_slot_rate`]).
-    pub fn scores_with_slot_rate(&self, run: &Run, slot_rate: f64) -> Vec<f64> {
-        self.scores_inner(
-            run,
-            Some(slot_rate),
-            &mut GreedyWorkspace::new(),
-            FoldPolicy::default(),
-        )
-    }
-
-    /// [`GreedyDecoder::scores`] with each query result winsorized into its
-    /// feasible range `[0, |∂*aⱼ|]` before accumulation.
+    /// [`GreedyDecoder::scores`] with an explicit slot rate and fold, into
+    /// the caller's accumulator buffers.
     ///
-    /// A measurement legitimately reads at most one per slot, so clamping
-    /// bounds the damage any single corrupted payload can do: every
-    /// accumulated `Ψᵢ` stays within the clean-fold envelope
-    /// `|Ψᵢ| ≤ Σ_{j∈∂*i} |∂aⱼ|`. This is the sequential mirror of the
-    /// distributed protocol's winsorized fold
-    /// ([`crate::distributed::ProtocolOptions::winsorize`]). Under the
-    /// channel noise models clean results always lie inside the range, so
-    /// winsorizing is a bit-identical no-op there; only the Gaussian model
-    /// can legitimately graze the clamp.
-    pub fn scores_winsorized(&self, run: &Run) -> Vec<f64> {
-        self.scores_inner(
-            run,
-            self.resolved_rate(run),
-            &mut GreedyWorkspace::new(),
-            FoldPolicy {
-                winsorize: true,
-                exclude: None,
-            },
-        )
-    }
-
-    /// [`GreedyDecoder::scores`] with flagged queries excluded from the
-    /// accumulation entirely.
-    ///
-    /// An excluded query contributes *nothing* — neither its result nor its
-    /// degree terms — so the centering of the surviving queries is
-    /// undisturbed: the score of an agent is exactly what it would be had
-    /// the flagged queries never been asked. This is the trimmed companion
-    /// of [`GreedyDecoder::scores_winsorized`]: winsorizing caps what a
-    /// corrupted measurement can contribute, trimming removes measurements
-    /// known (or suspected) to be corrupted — see
-    /// [`crate::estimation::flag_corrupted_queries`] for a data-driven
-    /// flagger and [`crate::estimation::decode_trimmed`] for the assembled
-    /// pipeline.
+    /// Repeated scorings on same-sized populations touch the allocator only
+    /// for the returned score vector; with default options the output is
+    /// bit-identical to [`GreedyDecoder::scores`].
     ///
     /// # Panics
     ///
-    /// Panics if `exclude.len() != m`.
-    pub fn scores_trimmed(&self, run: &Run, exclude: &[bool]) -> Vec<f64> {
-        self.scores_inner(
-            run,
-            self.resolved_rate(run),
-            &mut GreedyWorkspace::new(),
-            FoldPolicy {
-                winsorize: false,
-                exclude: Some(exclude),
-            },
-        )
-    }
-
-    /// [`GreedyDecoder::scores_trimmed`] with an explicit per-slot one-read
-    /// rate, for when the rate is estimated from the surviving queries
-    /// (corrupted results poison the plain moment estimate too — see
-    /// [`crate::estimation::estimate_slot_rate_trimmed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exclude.len() != m`.
-    pub fn scores_trimmed_with_slot_rate(
+    /// Panics if a [`Fold::Trim`] mask does not have one entry per query.
+    pub fn scores_with(
         &self,
         run: &Run,
-        slot_rate: f64,
-        exclude: &[bool],
+        options: ScoreOptions<'_>,
+        workspace: &mut GreedyWorkspace,
     ) -> Vec<f64> {
-        self.scores_inner(
-            run,
-            Some(slot_rate),
-            &mut GreedyWorkspace::new(),
-            FoldPolicy {
-                winsorize: false,
-                exclude: Some(exclude),
-            },
-        )
+        let n = run.instance().n();
+        let k = run.instance().k();
+        let (winsorize, exclude) = match options.fold {
+            Fold::Plain => (false, None),
+            Fold::Winsorize => (true, None),
+            Fold::Trim(exclude) => {
+                assert_eq!(
+                    exclude.len(),
+                    run.results().len(),
+                    "GreedyDecoder: exclusion mask length must equal the query count"
+                );
+                (false, Some(exclude))
+            }
+        };
+        workspace.reset(n);
+        let sums = &mut workspace.sums;
+        for (j, q) in run.graph().queries().iter().enumerate() {
+            if exclude.is_some_and(|exclude| exclude[j]) {
+                continue;
+            }
+            // Per-query slot count, not the nominal Γ: identical for the
+            // query-regular designs (Σ_{j∈∂*i} Γ = Δ*ᵢ·Γ), exact for ragged
+            // designs such as the doubly regular scheme.
+            let total = q.total_slots() as u64;
+            let value = ScoreAccumulator::admit(run.results()[j], total, winsorize);
+            for (a, c) in q.iter() {
+                sums[a as usize].fold(value, c as u64, total);
+            }
+        }
+        let scores: Vec<f64> = match options.slot_rate.or_else(|| self.resolved_rate(run)) {
+            None => {
+                let half_k = k as f64 / 2.0;
+                sums.iter().map(|s| s.printed_score(half_k)).collect()
+            }
+            Some(rate) => sums.iter().map(|s| s.score(rate)).collect(),
+        };
+        if workspace.sink.is_enabled() && k > 0 && k < n {
+            // The margin between the last selected and first rejected
+            // score: the same deterministic ranking `from_scores` uses.
+            let ranked = top_k_indices(&scores, k + 1);
+            let margin = scores[ranked[k - 1]] - scores[ranked[k]];
+            workspace.sink.emit(|| {
+                npd_telemetry::Event::instant("greedy.scores")
+                    .phase("greedy")
+                    .u64("n", n as u64)
+                    .u64("k", k as u64)
+                    .f64("margin", margin)
+            });
+        }
+        scores
     }
 
     /// The per-slot one-read rate the configured centering subtracts with
@@ -295,8 +259,10 @@ impl GreedyDecoder {
         }
     }
 
-    /// Posterior log-odds scores: the greedy neighborhood statistic folded
-    /// with per-agent prior one-probabilities `πᵢ = P(σᵢ = 1)`.
+    /// The noise-aware scores together with the posterior log-odds scores
+    /// built from them in the same accumulation pass: the greedy
+    /// neighborhood statistic folded with per-agent prior one-probabilities
+    /// `πᵢ = P(σᵢ = 1)`. Callers that need only the posterior take `.1`.
     ///
     /// Algorithm 1 ranks by the centered neighborhood sum alone, which is
     /// the right rule only for an exchangeable (uniform `k`-subset) prior.
@@ -317,21 +283,9 @@ impl GreedyDecoder {
     /// this is a strictly monotone transform of the plain score, so the
     /// selection is unchanged; an informative prior shifts borderline
     /// agents by their prior log-odds, scaled by how little evidence the
-    /// queries have accumulated on them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prior.len() != n` or any `πᵢ ∉ [0, 1]`.
-    pub fn posterior_scores(&self, run: &Run, prior: &[f64]) -> Vec<f64> {
-        self.scores_with_posterior(run, prior).1
-    }
-
-    /// [`GreedyDecoder::posterior_scores`] returning the noise-aware
-    /// scores it is built from as well, in one accumulation pass.
-    ///
-    /// Prior-blind-vs-prior-aware comparisons need both rankings of the
-    /// same run; computing them independently would pay the `O(m·Γ)`
-    /// accumulation twice.
+    /// queries have accumulated on them. Prior-blind-vs-prior-aware
+    /// comparisons need both rankings of the same run, hence both vectors
+    /// from one `O(m·Γ)` accumulation.
     ///
     /// # Panics
     ///
@@ -341,16 +295,17 @@ impl GreedyDecoder {
         assert_eq!(
             prior.len(),
             n,
-            "GreedyDecoder::posterior_scores: prior length must equal n"
+            "GreedyDecoder::scores_with_posterior: prior length must equal n"
         );
-        let (p, q) = match *run.instance().noise() {
-            crate::NoiseModel::Channel { p, q } => (p, q),
-            crate::NoiseModel::Noiseless | crate::NoiseModel::Query { .. } => (0.0, 0.0),
-        };
+        let (p, q) = run.instance().noise().flip_rates();
         let signal = 1.0 - p - q;
         let rate = second_neighborhood_rate(n, run.instance().k(), run.instance().noise());
+        let options = ScoreOptions {
+            slot_rate: Some(rate),
+            ..ScoreOptions::default()
+        };
         let mut ws = GreedyWorkspace::new();
-        let scores = self.scores_inner(run, Some(rate), &mut ws, FoldPolicy::default());
+        let scores = self.scores_with(run, options, &mut ws);
 
         // Empirical per-query result variance: from any one agent's
         // viewpoint (conditioned on its own bit) a query result fluctuates
@@ -368,122 +323,93 @@ impl GreedyDecoder {
 
         let posterior = scores
             .iter()
+            .zip(&ws.sums)
             .enumerate()
-            .map(|(i, &x)| {
+            .map(|(i, (&x, sums))| {
                 let pi = prior[i];
                 assert!(
                     (0.0..=1.0).contains(&pi),
-                    "GreedyDecoder::posterior_scores: prior[{i}]={pi} not a probability"
+                    "GreedyDecoder::scores_with_posterior: prior[{i}]={pi} not a probability"
                 );
                 let pi = pi.clamp(1e-12, 1.0 - 1e-12);
                 let log_odds = (pi / (1.0 - pi)).ln();
-                let multi = ws.multi[i] as f64;
+                let multi = sums.multi as f64;
                 let g = multi * signal;
                 if g <= 0.0 {
                     // No own slots (or a fully inverting channel): the
                     // queries carry no evidence on this agent.
                     return log_odds;
                 }
-                let v = (f64::from(ws.distinct[i]) * var).max(1e-12);
+                let v = (f64::from(sums.distinct) * var).max(1e-12);
                 ((x - multi * q) * g - 0.5 * g * g) / v + log_odds
             })
             .collect();
         (scores, posterior)
     }
-
-    fn scores_inner(
-        &self,
-        run: &Run,
-        rate: Option<f64>,
-        ws: &mut GreedyWorkspace,
-        policy: FoldPolicy<'_>,
-    ) -> Vec<f64> {
-        let n = run.instance().n();
-        let k = run.instance().k();
-        if let Some(exclude) = policy.exclude {
-            assert_eq!(
-                exclude.len(),
-                run.results().len(),
-                "GreedyDecoder: exclusion mask length must equal the query count"
-            );
-        }
-        ws.reset(n);
-        let psi = &mut ws.psi;
-        let distinct = &mut ws.distinct;
-        let multi = &mut ws.multi;
-        let slot_sum = &mut ws.slot_sum;
-        for (j, q) in run.graph().queries().iter().enumerate() {
-            if policy.exclude.is_some_and(|exclude| exclude[j]) {
-                continue;
-            }
-            // Per-query slot count, not the nominal Γ: identical for the
-            // query-regular designs (Σ_{j∈∂*i} Γ = Δ*ᵢ·Γ), exact for ragged
-            // designs such as the doubly regular scheme.
-            let total = q.total_slots() as u64;
-            let mut value = run.results()[j];
-            if policy.winsorize {
-                value = value.clamp(0.0, total as f64);
-            }
-            for (a, c) in q.iter() {
-                psi[a as usize] += value;
-                distinct[a as usize] += 1;
-                multi[a as usize] += c as u64;
-                slot_sum[a as usize] += total;
-            }
-        }
-        let scores: Vec<f64> = match rate {
-            None => {
-                let half_k = k as f64 / 2.0;
-                psi.iter()
-                    .zip(distinct.iter())
-                    .map(|(&p, &d)| p - d as f64 * half_k)
-                    .collect()
-            }
-            Some(rate) => (0..n)
-                .map(|i| {
-                    let slots = (slot_sum[i] - multi[i]) as f64;
-                    psi[i] - slots * rate
-                })
-                .collect(),
-        };
-        if ws.sink.is_enabled() && k > 0 && k < n {
-            // The margin between the last selected and first rejected
-            // score: the same deterministic ranking `from_scores` uses.
-            let ranked = top_k_indices(&scores, k + 1);
-            let margin = scores[ranked[k - 1]] - scores[ranked[k]];
-            ws.sink.emit(|| {
-                npd_telemetry::Event::instant("greedy.scores")
-                    .phase("greedy")
-                    .u64("n", n as u64)
-                    .u64("k", k as u64)
-                    .f64("margin", margin)
-            });
-        }
-        scores
-    }
 }
 
-/// How [`GreedyDecoder::scores_inner`] treats each query during the fold:
-/// winsorize clamps the result into its feasible `[0, slots]` range,
-/// exclude drops flagged queries (result *and* degree terms) entirely.
-#[derive(Debug, Clone, Copy, Default)]
-struct FoldPolicy<'a> {
-    winsorize: bool,
-    exclude: Option<&'a [bool]>,
+/// How [`GreedyDecoder::scores_with`] treats each query result during the
+/// fold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Fold<'a> {
+    /// Every result as measured (Algorithm 1).
+    #[default]
+    Plain,
+    /// Each result winsorized into its feasible range `[0, |∂aⱼ|]` before
+    /// accumulation.
+    ///
+    /// A measurement legitimately reads at most one per slot, so clamping
+    /// bounds the damage any single corrupted payload can do: every
+    /// accumulated `Ψᵢ` stays within the clean-fold envelope
+    /// `|Ψᵢ| ≤ Σ_{j∈∂*i} |∂aⱼ|`. The distributed protocol's agents apply
+    /// the same clamp through the same kernel
+    /// ([`crate::distributed::ProtocolOptions::winsorize`]), so on a
+    /// fault-free network the two are bit-identical. Under the channel
+    /// noise models clean results always lie inside the range, so
+    /// winsorizing is a bit-identical no-op there; only the Gaussian model
+    /// can legitimately graze the clamp.
+    Winsorize,
+    /// Queries flagged `true` (one entry per query) excluded from the
+    /// accumulation entirely.
+    ///
+    /// An excluded query contributes *nothing* — neither its result nor
+    /// its degree terms — so the centering of the surviving queries is
+    /// undisturbed: the score of an agent is exactly what it would be had
+    /// the flagged queries never been asked. Winsorizing caps what a
+    /// corrupted measurement can contribute; trimming removes measurements
+    /// known (or suspected) to be corrupted — see
+    /// [`crate::estimation::flag_corrupted_queries`] for a data-driven
+    /// flagger and [`crate::estimation::decode_trimmed`] for the assembled
+    /// pipeline.
+    Trim(&'a [bool]),
 }
 
-/// Reusable accumulator buffers for [`GreedyDecoder::scores_using`].
+/// Options of [`GreedyDecoder::scores_with`]; the default reproduces
+/// [`GreedyDecoder::scores`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ScoreOptions<'a> {
+    /// Center with the noise-aware score at this per-slot one-read rate,
+    /// whatever the decoder's [`Centering`], instead of the rate derived
+    /// from the model's `(p, q)` and `k`. For channel parameters that are
+    /// *estimated* rather than known (see
+    /// [`crate::estimation::estimate_slot_rate`] and, with a trimmed fold,
+    /// [`crate::estimation::estimate_slot_rate_trimmed`]). `None` centers
+    /// as the decoder is configured.
+    pub slot_rate: Option<f64>,
+    /// How each query result enters the accumulation.
+    pub fold: Fold<'a>,
+}
+
+/// Reusable accumulator buffers for [`GreedyDecoder::scores_with`].
 ///
-/// Holds the per-agent neighborhood sums `Ψ`, distinct degrees `Δ*` and
-/// multi-degrees `Δ` so sweeping decoders do not reallocate them per trial.
+/// Holds one set of greedy sums per agent — the neighborhood sum `Ψᵢ`, the
+/// distinct degree `Δ*ᵢ`, the multi-degree `Δᵢ` and the slot total
+/// `Σ_{j∈∂*i} |∂aⱼ|` — so sweeping decoders do not reallocate them per
+/// trial. These are the same per-agent sums the distributed protocol's
+/// agents and [`crate::IncrementalSim`] keep, folded by the same code.
 #[derive(Debug, Clone, Default)]
 pub struct GreedyWorkspace {
-    psi: Vec<f64>,
-    distinct: Vec<u32>,
-    multi: Vec<u64>,
-    /// `Σ_{j∈∂*i} |∂aⱼ|` — total slots of the queries containing each
-    /// agent (equals `Δ*ᵢ·Γ` on query-regular designs).
-    slot_sum: Vec<u64>,
+    sums: Vec<ScoreAccumulator>,
     /// Telemetry handle (disabled by default): one `greedy.scores` event
     /// per scoring with the top-`k` selection margin.
     sink: npd_telemetry::TelemetrySink,
@@ -506,10 +432,81 @@ impl GreedyWorkspace {
     }
 
     fn reset(&mut self, n: usize) {
-        resize_fill(&mut self.psi, n, 0.0);
-        resize_fill(&mut self.distinct, n, 0);
-        resize_fill(&mut self.multi, n, 0);
-        resize_fill(&mut self.slot_sum, n, 0);
+        resize_fill(&mut self.sums, n, ScoreAccumulator::default());
+    }
+}
+
+/// One agent's greedy sums and the scores formed from them: the single
+/// fold kernel of Algorithm 1.
+///
+/// The sequential decoder ([`GreedyWorkspace`]), the incremental simulator
+/// and the distributed protocol's agents all accumulate through this type,
+/// so they compute the same scores by construction: the same expressions
+/// in the same evaluation order.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct ScoreAccumulator {
+    /// Neighborhood sum `Ψᵢ` over the distinct queries containing the agent.
+    psi: f64,
+    /// Distinct degree `Δ*ᵢ`.
+    distinct: u32,
+    /// Multi-degree `Δᵢ` (the agent's slots, counting multiplicity).
+    multi: u64,
+    /// `Σ_{j∈∂*i} |∂aⱼ|` — total slots of the queries containing the agent
+    /// (equals `Δ*ᵢ·Γ` on query-regular designs).
+    slot_sum: u64,
+}
+
+impl ScoreAccumulator {
+    /// A query result over `slots` slots as the fold takes it: with
+    /// `winsorize`, clamped into `[0, slots]` (a true result counts ones
+    /// over `slots` reads, so anything outside is noise or corruption, and
+    /// clamping bounds its leverage on `Ψᵢ`); otherwise unchanged.
+    #[inline]
+    pub(crate) fn admit(result: f64, slots: u64, winsorize: bool) -> f64 {
+        if winsorize {
+            result.clamp(0.0, slots as f64)
+        } else {
+            result
+        }
+    }
+
+    /// Folds one query containing the agent: its admitted result, the
+    /// agent's multiplicity in it, and its total slot count.
+    #[inline]
+    pub(crate) fn fold(&mut self, value: f64, multiplicity: u64, slots: u64) {
+        self.psi += value;
+        self.distinct += 1;
+        self.multi += multiplicity;
+        self.slot_sum += slots;
+    }
+
+    /// The noise-aware score `Ψᵢ − (Σ_{j∈∂*i}|∂aⱼ| − Δᵢ)·rate`
+    /// ([`Centering::NoiseAware`]).
+    #[inline]
+    pub(crate) fn score(&self, rate: f64) -> f64 {
+        let slots = (self.slot_sum - self.multi) as f64;
+        self.psi - slots * rate
+    }
+
+    /// The printed score `Ψᵢ − Δ*ᵢ·k/2` ([`Centering::Plain`]), given `k/2`.
+    #[inline]
+    pub(crate) fn printed_score(&self, half_k: f64) -> f64 {
+        self.psi - self.distinct as f64 * half_k
+    }
+
+    /// `Ψᵢ`.
+    pub(crate) fn psi(&self) -> f64 {
+        self.psi
+    }
+
+    /// `Δ*ᵢ`.
+    pub(crate) fn distinct(&self) -> u32 {
+        self.distinct
+    }
+
+    /// `Δᵢ`.
+    pub(crate) fn multi(&self) -> u64 {
+        self.multi
     }
 }
 
@@ -517,10 +514,7 @@ impl GreedyWorkspace {
 /// `q + k(1−p−q)/(n−1)` (Lemma 7's `p(0,1) + p(1,1)` with the indicator
 /// dropped).
 pub(crate) fn second_neighborhood_rate(n: usize, k: usize, noise: &crate::NoiseModel) -> f64 {
-    let (p, q) = match *noise {
-        crate::NoiseModel::Channel { p, q } => (p, q),
-        crate::NoiseModel::Noiseless | crate::NoiseModel::Query { .. } => (0.0, 0.0),
-    };
+    let (p, q) = noise.flip_rates();
     q + k as f64 * (1.0 - p - q) / (n as f64 - 1.0)
 }
 
@@ -661,7 +655,7 @@ mod tests {
         for (n, seed) in [(300usize, 0u64), (150, 1), (300, 2)] {
             let run = noiseless_run(n, 4, 250, seed);
             let fresh = decoder.scores(&run);
-            let reused = decoder.scores_using(&run, &mut ws);
+            let reused = decoder.scores_with(&run, ScoreOptions::default(), &mut ws);
             assert!(
                 fresh
                     .iter()
@@ -735,6 +729,14 @@ mod tests {
         assert!(aware_hits >= 4, "noise-aware centering should succeed here");
     }
 
+    fn folded(run: &Run, fold: Fold<'_>) -> Vec<f64> {
+        let options = ScoreOptions {
+            fold,
+            ..ScoreOptions::default()
+        };
+        GreedyDecoder::new().scores_with(run, options, &mut GreedyWorkspace::new())
+    }
+
     /// Rebuilds `run` with the given (e.g. tampered) result vector.
     fn with_results(run: &Run, results: Vec<f64>) -> Run {
         run.instance()
@@ -749,7 +751,7 @@ mod tests {
         let run = noiseless_run(200, 3, 150, 9);
         let decoder = GreedyDecoder::new();
         let raw = decoder.scores(&run);
-        let win = decoder.scores_winsorized(&run);
+        let win = folded(&run, Fold::Winsorize);
         assert!(raw
             .iter()
             .zip(&win)
@@ -765,7 +767,7 @@ mod tests {
         let bad = with_results(&run, tampered.clone());
 
         let decoder = GreedyDecoder::new();
-        let win = decoder.scores_winsorized(&bad);
+        let win = folded(&bad, Fold::Winsorize);
         assert_ne!(win, decoder.scores(&bad), "clamp never engaged");
 
         // Winsorizing is exactly "clamp first, then fold": pre-clamping the
@@ -788,7 +790,7 @@ mod tests {
         let m = run.results().len();
 
         // An all-clear mask is the identity.
-        let all_clear = decoder.scores_trimmed(&run, &vec![false; m]);
+        let all_clear = folded(&run, Fold::Trim(&vec![false; m]));
         assert!(decoder
             .scores(&run)
             .iter()
@@ -800,11 +802,11 @@ mod tests {
         let mut exclude = vec![false; m];
         exclude[3] = true;
         exclude[77] = true;
-        let clean = decoder.scores_trimmed(&run, &exclude);
+        let clean = folded(&run, Fold::Trim(&exclude));
         let mut tampered = run.results().to_vec();
         tampered[3] = f64::MAX / 4.0;
         tampered[77] = -1e9;
-        let garbled = decoder.scores_trimmed(&with_results(&run, tampered), &exclude);
+        let garbled = folded(&with_results(&run, tampered), Fold::Trim(&exclude));
         assert!(clean
             .iter()
             .zip(&garbled)
@@ -818,7 +820,7 @@ mod tests {
     #[should_panic(expected = "exclusion mask length")]
     fn trimmed_scores_reject_wrong_mask_length() {
         let run = noiseless_run(50, 2, 40, 1);
-        GreedyDecoder::new().scores_trimmed(&run, &[false; 3]);
+        folded(&run, Fold::Trim(&[false; 3]));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! `n = 10⁵` sweeps of Figures 2–5 tractable.
 
 use crate::design::{band_window, DesignSpec, Sampling};
+use crate::greedy::ScoreAccumulator;
 use crate::model::GroundTruth;
 use crate::noise::NoiseModel;
 use rand::rngs::StdRng;
@@ -97,22 +98,15 @@ pub struct IncrementalSim {
     gamma: usize,
     noise: NoiseModel,
     truth: GroundTruth,
-    /// Neighborhood sums `Ψᵢ`.
-    psi: Vec<f64>,
-    /// Distinct degrees `Δ*ᵢ`.
-    distinct: Vec<u32>,
-    /// Multi-degrees `Δᵢ` (slots counting multiplicity).
-    multi: Vec<u64>,
-    /// Per-agent totals `Σ_{j∈∂*i} |∂aⱼ|` (equals `Δ*ᵢ·Γ` for the
-    /// query-regular samplers; tracked explicitly for Bernoulli pools).
-    slot_sum: Vec<u64>,
+    /// Per-agent greedy sums, folded by the sequential decoder's kernel.
+    sums: Vec<ScoreAccumulator>,
     /// Per-slot one-read rate of the second neighborhood (see
     /// [`crate::Centering::NoiseAware`]).
     slot_rate: f64,
-    /// Generation stamps for O(Γ) per-query dedup without allocation.
-    stamp: Vec<u32>,
-    stamp_gen: u32,
-    /// Distinct agents of the query being processed (scratch).
+    /// Draws of each agent in the query being dealt (its multiplicity);
+    /// zeroed again once the query is folded.
+    draws: Vec<u32>,
+    /// Distinct agents of the query being dealt (scratch).
     scratch: Vec<u32>,
     sampler: SamplerKind,
     /// Reusable permutation: partial Fisher–Yates scratch for
@@ -288,13 +282,9 @@ impl IncrementalSim {
             gamma,
             noise,
             truth,
-            psi: vec![0.0; n],
-            distinct: vec![0; n],
-            multi: vec![0; n],
-            slot_sum: vec![0; n],
+            sums: vec![ScoreAccumulator::default(); n],
             slot_rate,
-            stamp: vec![u32::MAX; n],
-            stamp_gen: 0,
+            draws: vec![0; n],
             scratch: Vec::with_capacity(gamma),
             sampler,
             perm,
@@ -306,7 +296,7 @@ impl IncrementalSim {
 
     /// Population size.
     pub fn n(&self) -> usize {
-        self.psi.len()
+        self.sums.len()
     }
 
     /// Number of one-agents.
@@ -330,7 +320,7 @@ impl IncrementalSim {
     ///
     /// Panics if `i >= n`.
     pub fn psi(&self, i: usize) -> f64 {
-        self.psi[i]
+        self.sums[i].psi()
     }
 
     /// Distinct degree `Δ*ᵢ` accumulated so far.
@@ -339,7 +329,7 @@ impl IncrementalSim {
     ///
     /// Panics if `i >= n`.
     pub fn distinct_degree(&self, i: usize) -> u32 {
-        self.distinct[i]
+        self.sums[i].distinct()
     }
 
     /// Multi-degree `Δᵢ` accumulated so far.
@@ -348,20 +338,13 @@ impl IncrementalSim {
     ///
     /// Panics if `i >= n`.
     pub fn multi_degree(&self, i: usize) -> u64 {
-        self.multi[i]
+        self.sums[i].multi()
     }
 
     /// Samples one query, measures it under the noise model and folds the
     /// result into the per-agent accumulators.
     pub fn add_query(&mut self) {
         let n = self.n();
-        self.stamp_gen = self.stamp_gen.wrapping_add(1);
-        // A stamp generation of 0 after wrap could collide with stale
-        // entries; refresh the array on wrap (happens after 2³² queries).
-        if self.stamp_gen == 0 {
-            self.stamp.fill(u32::MAX);
-            self.stamp_gen = 1;
-        }
         self.scratch.clear();
         let mut one_slots = 0u64;
         let mut total_slots = self.gamma as u64;
@@ -369,14 +352,7 @@ impl IncrementalSim {
             SamplerKind::Iid => {
                 for _ in 0..self.gamma {
                     let a = self.rng.gen_range(0..n);
-                    if self.truth.is_one(a) {
-                        one_slots += 1;
-                    }
-                    self.multi[a] += 1;
-                    if self.stamp[a] != self.stamp_gen {
-                        self.stamp[a] = self.stamp_gen;
-                        self.scratch.push(a as u32);
-                    }
+                    one_slots += self.draw(a);
                 }
             }
             SamplerKind::Subset => {
@@ -386,12 +362,7 @@ impl IncrementalSim {
                 for i in 0..self.gamma {
                     let j = self.rng.gen_range(i..n);
                     self.perm.swap(i, j);
-                    let a = self.perm[i] as usize;
-                    if self.truth.is_one(a) {
-                        one_slots += 1;
-                    }
-                    self.multi[a] += 1;
-                    self.scratch.push(a as u32);
+                    one_slots += self.draw(self.perm[i] as usize);
                 }
             }
             SamplerKind::Deck => {
@@ -408,14 +379,7 @@ impl IncrementalSim {
                     }
                     let a = self.perm[self.deck_pos] as usize;
                     self.deck_pos += 1;
-                    if self.truth.is_one(a) {
-                        one_slots += 1;
-                    }
-                    self.multi[a] += 1;
-                    if self.stamp[a] != self.stamp_gen {
-                        self.stamp[a] = self.stamp_gen;
-                        self.scratch.push(a as u32);
-                    }
+                    one_slots += self.draw(a);
                 }
             }
             SamplerKind::Bernoulli => {
@@ -428,12 +392,7 @@ impl IncrementalSim {
                 for i in 0..size {
                     let j = self.rng.gen_range(i..n);
                     self.perm.swap(i, j);
-                    let a = self.perm[i] as usize;
-                    if self.truth.is_one(a) {
-                        one_slots += 1;
-                    }
-                    self.multi[a] += 1;
-                    self.scratch.push(a as u32);
+                    one_slots += self.draw(self.perm[i] as usize);
                 }
             }
             SamplerKind::Banded { bands } => {
@@ -442,25 +401,28 @@ impl IncrementalSim {
                 let (start, width) = band_window(n, bands, self.queries_added);
                 for _ in 0..self.gamma {
                     let a = (start + self.rng.gen_range(0..width)) % n;
-                    if self.truth.is_one(a) {
-                        one_slots += 1;
-                    }
-                    self.multi[a] += 1;
-                    if self.stamp[a] != self.stamp_gen {
-                        self.stamp[a] = self.stamp_gen;
-                        self.scratch.push(a as u32);
-                    }
+                    one_slots += self.draw(a);
                 }
             }
         }
         let zero_slots = total_slots - one_slots;
         let result = self.noise.measure(one_slots, zero_slots, &mut self.rng);
         for &a in &self.scratch {
-            self.psi[a as usize] += result;
-            self.distinct[a as usize] += 1;
-            self.slot_sum[a as usize] += total_slots;
+            let a = a as usize;
+            self.sums[a].fold(result, u64::from(self.draws[a]), total_slots);
+            self.draws[a] = 0;
         }
         self.queries_added += 1;
+    }
+
+    /// Deals one slot of the current query to agent `a`, returning the
+    /// slot's hidden bit (1 for a one-agent).
+    fn draw(&mut self, a: usize) -> u64 {
+        if self.draws[a] == 0 {
+            self.scratch.push(a as u32);
+        }
+        self.draws[a] += 1;
+        u64::from(self.truth.is_one(a))
     }
 
     /// The greedy score of agent `i` with the noise-aware centering
@@ -471,8 +433,7 @@ impl IncrementalSim {
     ///
     /// Panics if `i >= n`.
     pub fn score(&self, i: usize) -> f64 {
-        let slots = (self.slot_sum[i] - self.multi[i]) as f64;
-        self.psi[i] - slots * self.slot_rate
+        self.sums[i].score(self.slot_rate)
     }
 
     /// All scores as a fresh vector.
@@ -599,24 +560,24 @@ mod tests {
         assert_eq!(sim.queries_added(), 1);
         // Every touched agent got the same result value; untouched agents
         // have Δ* = 0 and Ψ = 0. The match over the distinct degree is
-        // exhaustive: `add_query` bumps `distinct[i]` at most once per
-        // query (the stamp-generation dedup in every sampling arm pushes
-        // each agent into `scratch` at most once), so after exactly one
+        // exhaustive: `add_query` folds each agent at most once per query
+        // (every sampling arm deals through `draw`, which pushes an agent
+        // into `scratch` only on its first draw), so after exactly one
         // query the invariant Δ*ᵢ ≤ queries_added pins the degree to
         // {0, 1} — the `2..` arm is unreachable by construction.
         let mut seen_value = None;
         for i in 0..50 {
-            match sim.distinct[i] {
-                0 => assert_eq!(sim.psi[i], 0.0),
+            match sim.distinct_degree(i) {
+                0 => assert_eq!(sim.psi(i), 0.0),
                 1 => {
-                    let v = sim.psi[i];
+                    let v = sim.psi(i);
                     if let Some(prev) = seen_value {
                         assert_eq!(v, prev);
                     }
                     seen_value = Some(v);
                 }
                 2.. => unreachable!(
-                    "Δ*ᵢ ≤ queries_added: the per-query stamp dedup adds each \
+                    "Δ*ᵢ ≤ queries_added: the per-query draw counts add each \
                      agent to a query's distinct set at most once"
                 ),
             }
@@ -653,7 +614,7 @@ mod tests {
     fn custom_query_size_is_respected() {
         let mut sim = IncrementalSim::with_query_size(100, 2, 10, NoiseModel::Noiseless, 11);
         sim.add_query();
-        let total: u32 = sim.distinct.iter().sum();
+        let total: u32 = (0..100).map(|i| sim.distinct_degree(i)).sum();
         assert!(total <= 10);
     }
 
@@ -709,7 +670,7 @@ mod tests {
             sim.add_query();
         }
         for i in 0..100 {
-            assert_eq!(sim.multi[i], sim.distinct[i] as u64);
+            assert_eq!(sim.multi_degree(i), u64::from(sim.distinct_degree(i)));
         }
     }
 

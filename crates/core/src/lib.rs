@@ -23,12 +23,13 @@
 //! result once to every distinct member; agent `i` accumulates the
 //! neighborhood sum `Ψᵢ` and its distinct degree `Δ*ᵢ`, and the `k` agents
 //! with the largest scores `Ψᵢ − Δ*ᵢ·k/2` declare bit one. Three
-//! implementations are provided, all bit-identical in their output:
+//! implementations are provided, all bit-identical in their output because
+//! all three fold the query results through one accumulator kernel:
 //!
 //! * [`GreedyDecoder`] — the sequential reference decoder;
-//! * [`distributed::run_protocol`] — the full message-passing protocol on
-//!   `npd-netsim`, with the agents sorting themselves through a Batcher
-//!   sorting network from `npd-sortnet`;
+//! * [`distributed::run_protocol_chaos`] — the full message-passing
+//!   protocol on `npd-netsim`, with the agents sorting themselves through a
+//!   Batcher sorting network from `npd-sortnet` (or selecting by gossip);
 //! * [`IncrementalSim`] — an `O(n)`-memory query-by-query simulation used to
 //!   measure the *required number of queries* exactly as Section V of the
 //!   paper describes.
@@ -92,7 +93,9 @@ pub use design::{
     QueryMultiset, Sampling, SparseColumnDesign, SpatiallyCoupledDesign,
 };
 pub use evaluate::{confusion, exact_recovery, hamming_distance, overlap, separation, Confusion};
-pub use greedy::{Centering, Decoder, Estimate, GreedyDecoder, GreedyWorkspace};
+pub use greedy::{
+    Centering, Decoder, Estimate, Fold, GreedyDecoder, GreedyWorkspace, ScoreOptions,
+};
 pub use incremental::{IncrementalSim, RequiredQueries};
 pub use model::{GroundTruth, Instance, InstanceBuilder, InstanceError, Regime, Run};
 pub use noise::NoiseModel;

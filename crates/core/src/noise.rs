@@ -91,6 +91,15 @@ impl NoiseModel {
         matches!(self, NoiseModel::Channel { .. })
     }
 
+    /// The per-edge flip probabilities `(p, q)`: `(0, 0)` for the models
+    /// that flip no edge (noiseless, Gaussian query noise).
+    pub fn flip_rates(&self) -> (f64, f64) {
+        match *self {
+            NoiseModel::Channel { p, q } => (p, q),
+            NoiseModel::Noiseless | NoiseModel::Query { .. } => (0.0, 0.0),
+        }
+    }
+
     /// Draws one noisy measurement for a query whose slots touch `one_slots`
     /// one-agents and `zero_slots` zero-agents.
     ///

@@ -22,7 +22,6 @@
 
 use crate::greedy::{Decoder, Estimate, GreedyDecoder};
 use crate::model::Run;
-use crate::noise::NoiseModel;
 
 /// Greedy decoding followed by one residual-refinement pass.
 ///
@@ -64,10 +63,9 @@ impl TwoStepDecoder {
         // E[σ̂ⱼ | A] = (1−p−q)·(Aσ)ⱼ + q·|∂aⱼ|. The shift uses the query's
         // own slot count — equal to Γ on query-regular designs, exact on
         // ragged (degree-balanced) designs.
-        let (scale, flip_q, denom) = match *run.instance().noise() {
-            NoiseModel::Channel { p, q } => (1.0 / (1.0 - p - q), q, 1.0 - p - q),
-            _ => (1.0, 0.0, 1.0),
-        };
+        let (p, flip_q) = run.instance().noise().flip_rates();
+        let denom = 1.0 - p - flip_q;
+        let scale = 1.0 / denom;
 
         // Residual per query under the first-stage estimate.
         let mut residual = vec![0.0f64; run.instance().m()];
@@ -115,6 +113,7 @@ mod tests {
     use super::*;
     use crate::evaluate::{exact_recovery, overlap};
     use crate::model::Instance;
+    use crate::noise::NoiseModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

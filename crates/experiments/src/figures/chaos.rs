@@ -121,7 +121,7 @@ pub fn run(opts: &RunOptions) -> FigureReport {
                         .expect("chaos protocol completes within its budget");
                     (
                         overlap(&outcome.estimate, run.ground_truth()),
-                        outcome.achieved_quorum as f64,
+                        outcome.achieved_quorum() as f64,
                         outcome.metrics.node_crashes as f64,
                         outcome.metrics.messages_corrupted as f64,
                     )

@@ -14,8 +14,8 @@ use crate::mix_seed;
 use crate::output::table;
 use npd_amp::cost::DistributedAmpCost;
 use npd_amp::AmpDecoder;
-use npd_core::distributed::SelectionStrategy;
-use npd_core::{distributed, Instance, NoiseModel, Regime};
+use npd_core::distributed::{self, ProtocolOptions, SelectionStrategy};
+use npd_core::{Instance, NoiseModel, Regime};
 use npd_netsim::gossip::push_sum_report_on;
 use npd_netsim::Topology;
 use rand::rngs::StdRng;
@@ -53,7 +53,8 @@ pub fn run(opts: &RunOptions) -> FigureReport {
     let mut rng = StdRng::seed_from_u64(mix_seed(0xC033, n as u64));
     let run = instance.sample(&mut rng);
 
-    let outcome = distributed::run_protocol(&run).expect("protocol quiesces");
+    let outcome = distributed::run_protocol_chaos(&run, ProtocolOptions::default())
+        .expect("protocol quiesces");
     let (_, amp_trace) = AmpDecoder::default().decode_with_trace(&run);
 
     let edges: u64 = run
@@ -69,8 +70,11 @@ pub fn run(opts: &RunOptions) -> FigureReport {
     // sorting network (strategy `GossipThreshold`), and every agent
     // decides its own bit — no assignment traffic, no sorting-network
     // schedule. The estimate is bit-identical to the Batcher path.
-    let gossip = distributed::run_protocol_with(&run, SelectionStrategy::gossip())
-        .expect("gossip protocol quiesces");
+    let gossip = ProtocolOptions {
+        strategy: SelectionStrategy::gossip(),
+        ..ProtocolOptions::default()
+    };
+    let gossip = distributed::run_protocol_chaos(&run, gossip).expect("gossip protocol quiesces");
     assert_eq!(gossip.estimate, outcome.estimate);
     let gossip_messages = gossip.metrics.messages_sent;
     let gossip_rounds = gossip.rounds;

@@ -37,10 +37,7 @@ pub fn n_values(mode: Mode) -> Vec<usize> {
 /// The Theorem-1 linear-regime bound for a noise case at `ε = 0.05`.
 pub fn linear_bound(n: usize, noise: &NoiseModel) -> f64 {
     let nf = n as f64;
-    let (p, q) = match *noise {
-        NoiseModel::Channel { p, q } => (p, q),
-        NoiseModel::Noiseless | NoiseModel::Query { .. } => (0.0, 0.0),
-    };
+    let (p, q) = noise.flip_rates();
     npd_theory::bounds::noisy_channel_linear_queries(nf, ZETA, p, q, 0.05)
 }
 

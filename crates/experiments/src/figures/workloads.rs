@@ -4,7 +4,7 @@
 //! The static rows fix one population size and a scarce query budget (an
 //! eighth of the Theorem-1-derived default — the regime where the prior is
 //! worth queries) and compare the plain greedy rule against the posterior
-//! ranking ([`npd_core::GreedyDecoder::posterior_scores`]) on every static
+//! ranking ([`npd_core::GreedyDecoder::scores_with_posterior`]) on every static
 //! workload in the catalog. The temporal rows walk the SIR workload
 //! through its epochs with the streaming tracker
 //! ([`npd_workloads::track_greedy`]) and report the per-epoch overlap.

@@ -678,7 +678,7 @@ pub fn run_traced(
     sink: &npd_telemetry::TelemetrySink,
 ) -> String {
     use npd_amp::AmpWorkspace;
-    use npd_core::GreedyWorkspace;
+    use npd_core::{GreedyWorkspace, ScoreOptions};
     use npd_decoders::BpWorkspace;
 
     let n = scenario.grid(opts.mode)[0];
@@ -777,7 +777,7 @@ pub fn run_traced(
         _ => {
             let mut ws = GreedyWorkspace::new();
             ws.set_telemetry(sink.clone());
-            let scores = GreedyDecoder::new().scores_using(&run, &mut ws);
+            let scores = GreedyDecoder::new().scores_with(&run, ScoreOptions::default(), &mut ws);
             format!("greedy n={n} m={m} scored={}", scores.len())
         }
     }
@@ -1192,7 +1192,7 @@ fn run_protocol_cost(scenario: &Scenario, opts: &RunOptions) -> FigureReport {
         let probes = mean(&|o| o.probes as f64);
         let stale = mean(&|o| o.stale_messages as f64);
         let missing = mean(&|o| o.missing_assignments as f64);
-        let quorum = mean(&|o| o.achieved_quorum as f64);
+        let quorum = mean(&|o| o.achieved_quorum() as f64);
         let crashes = mean(&|o| o.metrics.node_crashes as f64);
         let corrupted = mean(&|o| o.metrics.messages_corrupted as f64);
         let recovery = outcomes.iter().map(|(_, e, _)| e).sum::<f64>() / trials as f64;

@@ -4,7 +4,7 @@
 //! thread counts, but until this crate nothing could *see inside* one:
 //! AMP/BP convergence was invisible between entry and exit, netsim's
 //! per-round behavior was only surfaced through the cumulative
-//! [`npd_netsim::Metrics`]-style counters, and the only timing data was
+//! `npd_netsim::Metrics`-style counters, and the only timing data was
 //! criterion medians. `npd-telemetry` adds that visibility without
 //! touching the determinism contract, by splitting observability into
 //! two strictly separated planes:

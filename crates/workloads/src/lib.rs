@@ -27,7 +27,7 @@
 //!   (`npd_core::IncrementalSim::set_truth`) and re-decodes per epoch.
 //!
 //! The per-agent priors feed the posterior decoding paths in `npd-core`
-//! ([`npd_core::GreedyDecoder::posterior_scores`],
+//! ([`npd_core::GreedyDecoder::scores_with_posterior`],
 //! [`npd_core::estimation::decode_with_prior`]): on structured workloads
 //! the prior-aware rule beats the prior-blind rule at a fixed query budget
 //! (pinned by test).
@@ -96,7 +96,7 @@ pub trait PopulationModel: Send + Sync {
     /// Per-agent prior marginals `πᵢ = P(σᵢ = 1)`.
     ///
     /// This is what the posterior decoding paths consume
-    /// ([`npd_core::GreedyDecoder::posterior_scores`]); models with
+    /// ([`npd_core::GreedyDecoder::scores_with_posterior`]); models with
     /// correlated structure (households) still report the *marginal* here.
     fn prior(&self, n: usize) -> Vec<f64>;
 

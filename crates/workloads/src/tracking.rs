@@ -21,7 +21,7 @@
 //! at any thread or shard count (pinned in `tests/determinism.rs`).
 
 use crate::sir::SirDynamics;
-use npd_core::distributed::{self, SelectionStrategy};
+use npd_core::distributed::{self, ProtocolOptions, SelectionStrategy};
 use npd_core::{
     overlap, DesignSpec, Estimate, GroundTruth, IncrementalSim, Instance, NoiseModel, PoolingDesign,
 };
@@ -181,8 +181,12 @@ pub fn track_protocol(
                 .assemble(truth.clone(), graph, results)
                 // xtask:allow(unwrap-audit): graph and results were just sampled from this very instance's parameters
                 .expect("assembled parts match the instance");
+            let options = ProtocolOptions {
+                strategy,
+                ..ProtocolOptions::default()
+            };
             #[allow(clippy::expect_used)]
-            let outcome = distributed::run_protocol_configured(&run, strategy, None)
+            let outcome = distributed::run_protocol_chaos(&run, options)
                 // xtask:allow(unwrap-audit): fault-free budget bound is proven by the protocol round-budget tests
                 .expect("fault-free protocol terminates within its budget");
             let (overlap, exact) = overlap_or_trivial(&outcome.estimate, &truth);

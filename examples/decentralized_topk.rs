@@ -6,8 +6,8 @@
 //! cargo run --release --example decentralized_topk
 //! ```
 
-use noisy_pooled_data::core::distributed::SelectionStrategy;
-use noisy_pooled_data::core::{distributed, exact_recovery, Instance, NoiseModel};
+use noisy_pooled_data::core::distributed::{self, ProtocolOptions, SelectionStrategy};
+use noisy_pooled_data::core::{exact_recovery, Instance, NoiseModel};
 use noisy_pooled_data::netsim::gossip::push_sum_average;
 use rand::SeedableRng;
 
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Variant A: the paper's protocol — measurements, then a Batcher
     // sorting network ranks the agents.
-    let outcome = distributed::run_protocol(&run)?;
+    let outcome = distributed::run_protocol_chaos(&run, ProtocolOptions::default())?;
     println!(
         "sorting-network protocol: {} messages, {} rounds, exact = {}",
         outcome.metrics.messages_sent,
@@ -34,7 +34,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // gossip threshold bisection — agents learn only their own bit, no
     // sorting network is ever built, and the bisection stops as soon as
     // the k-th score is isolated (or only exact ties remain).
-    let gossip = distributed::run_protocol_with(&run, SelectionStrategy::gossip())?;
+    let gossip = distributed::run_protocol_chaos(
+        &run,
+        ProtocolOptions {
+            strategy: SelectionStrategy::gossip(),
+            ..ProtocolOptions::default()
+        },
+    )?;
     println!(
         "gossip-threshold protocol: {} messages, {} rounds ({} adaptive probes), \
          matches sorting network = {}",

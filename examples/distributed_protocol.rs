@@ -10,7 +10,8 @@
 //! cargo run --release --example distributed_protocol
 //! ```
 
-use noisy_pooled_data::core::{distributed, Decoder, GreedyDecoder, Instance, NoiseModel};
+use noisy_pooled_data::core::distributed::{self, ProtocolOptions};
+use noisy_pooled_data::core::{Decoder, GreedyDecoder, Instance, NoiseModel};
 use noisy_pooled_data::netsim::FaultConfig;
 use noisy_pooled_data::sortnet::SortingNetwork;
 use rand::SeedableRng;
@@ -25,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
     let run = instance.sample(&mut rng);
 
-    let outcome = distributed::run_protocol(&run)?;
+    let outcome = distributed::run_protocol_chaos(&run, ProtocolOptions::default())?;
     let sequential = GreedyDecoder::new().decode(&run);
 
     println!(
@@ -64,7 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Fault injection: 2% of messages dropped.
     let faults = FaultConfig::new(0.02, 0.0, 7)?;
-    let faulty = distributed::run_protocol_with_faults(&run, faults)?;
+    let faulty = distributed::run_protocol_chaos(
+        &run,
+        ProtocolOptions {
+            faults: Some(faults),
+            ..ProtocolOptions::default()
+        },
+    )?;
     println!(
         "\nWith 2% message drops: dropped {} of {} messages, \
          {} agents missed their assignment, exact recovery: {}",

@@ -53,7 +53,9 @@ fn doubly_regular_runs_decode_and_match_the_distributed_protocol() {
             exact_recovery(&sequential, run.ground_truth()),
             "seed={seed}: doubly regular design failed a generous budget"
         );
-        let outcome = distributed::run_protocol(&run).expect("quiesces");
+        let outcome =
+            distributed::run_protocol_chaos(&run, distributed::ProtocolOptions::default())
+                .expect("quiesces");
         assert_eq!(outcome.estimate, sequential, "seed={seed}");
     }
 }

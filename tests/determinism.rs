@@ -8,8 +8,9 @@
 //! scheduling-dependent.
 
 use noisy_pooled_data::amp::{AmpDecoder, AmpWorkspace};
+use noisy_pooled_data::core::distributed::{self, ProtocolOptions};
 use noisy_pooled_data::core::{
-    distributed, GreedyDecoder, GreedyWorkspace, Instance, NoiseModel, Regime,
+    Fold, GreedyDecoder, GreedyWorkspace, Instance, NoiseModel, Regime, ScoreOptions,
 };
 use noisy_pooled_data::decoders::{BpDecoder, BpWorkspace};
 use noisy_pooled_data::experiments::figures::{fig6, fig7};
@@ -104,7 +105,7 @@ fn greedy_workspace_path_matches_one_shot() {
     for seed in 0..5u64 {
         let run = sample_run(400, 5, 300, NoiseModel::channel(0.1, 0.05), seed);
         let fresh = decoder.scores(&run);
-        let reused = decoder.scores_using(&run, &mut ws);
+        let reused = decoder.scores_with(&run, ScoreOptions::default(), &mut ws);
         assert!(
             fresh
                 .iter()
@@ -331,7 +332,7 @@ fn chaos_protocol_is_identical_across_thread_counts() {
     );
     assert_eq!(reference.agent_liveness.len(), 128);
     assert_eq!(
-        reference.achieved_quorum,
+        reference.achieved_quorum(),
         128 - reference.missing_assignments
     );
     for threads in [2usize, 4] {
@@ -354,24 +355,31 @@ fn chaos_protocol_is_identical_across_thread_counts() {
 fn distributed_protocol_is_identical_across_thread_counts() {
     let run = sample_run(128, 3, 100, NoiseModel::z_channel(0.1), 31);
     let faults = FaultConfig::new(0.02, 0.05, 9).unwrap().with_max_delay(1);
+    let faulty = ProtocolOptions {
+        faults: Some(faults),
+        ..ProtocolOptions::default()
+    };
     let pool1 = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .unwrap();
-    let clean_ref = pool1.install(|| distributed::run_protocol(&run).unwrap());
-    let faulty_ref = pool1.install(|| distributed::run_protocol_with_faults(&run, faults).unwrap());
+    let clean_ref = pool1
+        .install(|| distributed::run_protocol_chaos(&run, ProtocolOptions::default()).unwrap());
+    let faulty_ref = pool1.install(|| distributed::run_protocol_chaos(&run, faulty).unwrap());
     for threads in [2usize, 4] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
         assert_eq!(
-            pool.install(|| distributed::run_protocol(&run).unwrap()),
+            pool.install(
+                || distributed::run_protocol_chaos(&run, ProtocolOptions::default()).unwrap()
+            ),
             clean_ref,
             "threads={threads}"
         );
         assert_eq!(
-            pool.install(|| distributed::run_protocol_with_faults(&run, faults).unwrap()),
+            pool.install(|| distributed::run_protocol_chaos(&run, faulty).unwrap()),
             faulty_ref,
             "threads={threads} (faulty)"
         );
@@ -387,7 +395,12 @@ fn gossip_strategy_protocol_is_identical_across_thread_counts() {
     let run = sample_run(128, 3, 100, NoiseModel::z_channel(0.1), 32);
     let faults = FaultConfig::new(0.02, 0.05, 11).unwrap().with_max_delay(2);
     let gossip = |faults: Option<FaultConfig>| {
-        distributed::run_protocol_configured(&run, SelectionStrategy::gossip(), faults).unwrap()
+        let options = ProtocolOptions {
+            strategy: SelectionStrategy::gossip(),
+            faults,
+            ..ProtocolOptions::default()
+        };
+        distributed::run_protocol_chaos(&run, options).unwrap()
     };
     let pool1 = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
@@ -748,7 +761,11 @@ fn score_bits_are_pinned() {
 
     let decoder = GreedyDecoder::new();
     let gaussian = pin_run(NoiseModel::gaussian(2.0), DesignSpec::Iid, 0x5C1E);
-    let winsorized = decoder.scores_winsorized(&gaussian);
+    let fold = |run: &Run, slot_rate: Option<f64>, fold: Fold<'_>| {
+        let options = ScoreOptions { slot_rate, fold };
+        decoder.scores_with(run, options, &mut GreedyWorkspace::new())
+    };
+    let winsorized = fold(&gaussian, None, Fold::Winsorize);
     assert_ne!(
         winsorized,
         decoder.scores(&gaussian),
@@ -756,9 +773,9 @@ fn score_bits_are_pinned() {
     );
     let z_run = &runs[1];
     let exclude: Vec<bool> = (0..z_run.results().len()).map(|j| j % 7 == 3).collect();
-    let trimmed = decoder.scores_trimmed(z_run, &exclude);
+    let trimmed = fold(z_run, None, Fold::Trim(&exclude));
     let channel_run = &runs[6];
-    let with_rate = decoder.scores_with_slot_rate(channel_run, 0.0375);
+    let with_rate = fold(channel_run, Some(0.0375), Fold::Plain);
     let prior: Vec<f64> = (0..120).map(|i| 0.01 + 0.0005 * i as f64).collect();
     let (plain, posterior) = decoder.scores_with_posterior(channel_run, &prior);
 
@@ -771,7 +788,11 @@ fn score_bits_are_pinned() {
         score_fingerprint(&[&sim.scores()])
     };
     let protocol = |strategy: SelectionStrategy| -> u64 {
-        let outcome = distributed::run_protocol_with(channel_run, strategy).unwrap();
+        let options = ProtocolOptions {
+            strategy,
+            ..ProtocolOptions::default()
+        };
+        let outcome = distributed::run_protocol_chaos(channel_run, options).unwrap();
         score_fingerprint(&[outcome.estimate.scores()])
     };
 

@@ -1,7 +1,10 @@
 //! The distributed protocol is bit-identical to the sequential decoder —
 //! the equivalence claimed in Section III of the paper.
 
-use noisy_pooled_data::core::{distributed, Decoder, GreedyDecoder, Instance, NoiseModel, Regime};
+use noisy_pooled_data::core::distributed::{self, ProtocolOptions, SelectionStrategy};
+use noisy_pooled_data::core::{
+    Decoder, Fold, GreedyDecoder, GreedyWorkspace, Instance, NoiseModel, Regime, ScoreOptions,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -13,7 +16,8 @@ fn check_equivalence(n: usize, k: usize, m: usize, noise: NoiseModel, seed: u64)
         .build()
         .expect("valid instance")
         .sample(&mut StdRng::seed_from_u64(seed));
-    let outcome = distributed::run_protocol(&run).expect("protocol quiesces");
+    let outcome = distributed::run_protocol_chaos(&run, ProtocolOptions::default())
+        .expect("protocol quiesces");
     let sequential = GreedyDecoder::new().decode(&run);
     assert_eq!(
         outcome.estimate, sequential,
@@ -37,6 +41,46 @@ fn equivalence_across_noise_models() {
     }
 }
 
+/// The agents' winsorized fold (`ProtocolOptions::winsorize`) is the
+/// sequential `Fold::Winsorize` bit for bit, on a fault-free Gaussian run
+/// whose results leave `[0, slots]` so the clamp engages.
+#[test]
+fn winsorized_protocol_matches_winsorized_fold() {
+    let run = Instance::builder(96)
+        .k(3)
+        .queries(60)
+        .noise(NoiseModel::gaussian(2.0))
+        .build()
+        .expect("valid instance")
+        .sample(&mut StdRng::seed_from_u64(21));
+    let scores = |fold: Fold<'_>| {
+        let options = ScoreOptions {
+            fold,
+            ..ScoreOptions::default()
+        };
+        let scores = GreedyDecoder::new().scores_with(&run, options, &mut GreedyWorkspace::new());
+        scores.iter().map(|s| s.to_bits()).collect::<Vec<u64>>()
+    };
+    let (winsorized, plain) = (scores(Fold::Winsorize), scores(Fold::Plain));
+    for strategy in [SelectionStrategy::BatcherSort, SelectionStrategy::gossip()] {
+        let options = ProtocolOptions {
+            strategy,
+            winsorize: true,
+            ..ProtocolOptions::default()
+        };
+        let outcome = distributed::run_protocol_chaos(&run, options).expect("protocol quiesces");
+        let protocol: Vec<u64> = outcome
+            .estimate
+            .scores()
+            .iter()
+            .map(|s| s.to_bits())
+            .collect();
+        assert_eq!(protocol, winsorized, "{strategy}: winsorized folds differ");
+        assert_ne!(protocol, plain, "{strategy}: the clamp never engaged");
+        assert_eq!(outcome.missing_assignments, 0);
+    }
+}
+
 #[test]
 fn equivalence_across_population_sizes() {
     // Deliberately awkward sizes: primes, powers of two, one-off-powers.
@@ -54,7 +98,7 @@ fn equivalence_in_linear_regime() {
         .build()
         .unwrap()
         .sample(&mut StdRng::seed_from_u64(77));
-    let outcome = distributed::run_protocol(&run).unwrap();
+    let outcome = distributed::run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
     assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
 }
 
@@ -67,7 +111,7 @@ fn round_complexity_is_logarithmic_squared() {
         .build()
         .unwrap()
         .sample(&mut StdRng::seed_from_u64(5));
-    let outcome = distributed::run_protocol(&run).unwrap();
+    let outcome = distributed::run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
     assert_eq!(outcome.sort_depth, 36); // t = 8: 8·9/2
     assert_eq!(outcome.rounds, 39);
 }
@@ -83,7 +127,7 @@ fn communication_grows_with_queries_not_rounds() {
             .build()
             .unwrap()
             .sample(&mut StdRng::seed_from_u64(9));
-        distributed::run_protocol(&run).unwrap()
+        distributed::run_protocol_chaos(&run, ProtocolOptions::default()).unwrap()
     };
     let small = mk(20);
     let large = mk(40);

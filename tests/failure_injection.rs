@@ -2,7 +2,8 @@
 //! duplication (extension beyond the paper, exercising the netsim fault
 //! machinery end to end).
 
-use noisy_pooled_data::core::{distributed, Instance, NoiseModel};
+use noisy_pooled_data::core::distributed::{self, ProtocolOptions};
+use noisy_pooled_data::core::{Instance, NoiseModel};
 use noisy_pooled_data::netsim::gossip::{PushSumMsg, PushSumNode};
 use noisy_pooled_data::netsim::{FaultConfig, Network, NodeFaultPlan, StepReport};
 use rand::rngs::StdRng;
@@ -18,12 +19,21 @@ fn sample_run(m: usize, seed: u64) -> noisy_pooled_data::core::Run {
         .sample(&mut StdRng::seed_from_u64(seed))
 }
 
+/// The default (Batcher) protocol under message faults.
+fn with_faults(faults: FaultConfig) -> ProtocolOptions {
+    ProtocolOptions {
+        faults: Some(faults),
+        ..ProtocolOptions::default()
+    }
+}
+
 #[test]
 fn protocol_always_terminates_under_faults() {
     for (drop, dup) in [(0.1, 0.0), (0.0, 0.2), (0.3, 0.3), (0.9, 0.0)] {
         let run = sample_run(60, 1);
         let faults = FaultConfig::new(drop, dup, 17).unwrap();
-        let outcome = distributed::run_protocol_with_faults(&run, faults).expect("must terminate");
+        let outcome =
+            distributed::run_protocol_chaos(&run, with_faults(faults)).expect("must terminate");
         assert_eq!(outcome.estimate.bits().len(), 128, "drop={drop} dup={dup}");
         assert!(outcome.rounds <= outcome.sort_depth as u64 + 5);
     }
@@ -35,7 +45,7 @@ fn light_loss_with_redundant_queries_still_recovers() {
     // enough redundancy that reconstruction survives (fixed seeds).
     let run = sample_run(200, 2);
     let faults = FaultConfig::new(0.005, 0.0, 3).unwrap();
-    let outcome = distributed::run_protocol_with_faults(&run, faults).unwrap();
+    let outcome = distributed::run_protocol_chaos(&run, with_faults(faults)).unwrap();
     assert_eq!(outcome.estimate.ones(), run.ground_truth().ones());
 }
 
@@ -48,7 +58,7 @@ fn drop_rate_degrades_reconstruction_monotonically_in_aggregate() {
             .filter(|&seed| {
                 let run = sample_run(100, 10 + seed);
                 let faults = FaultConfig::new(drop, 0.0, 100 + seed).unwrap();
-                let outcome = distributed::run_protocol_with_faults(&run, faults).unwrap();
+                let outcome = distributed::run_protocol_chaos(&run, with_faults(faults)).unwrap();
                 outcome.estimate.ones() != run.ground_truth().ones()
             })
             .count()
@@ -68,7 +78,7 @@ fn dropped_assignments_are_reported() {
     // must say so rather than silently defaulting.
     let run = sample_run(40, 4);
     let faults = FaultConfig::new(0.8, 0.0, 5).unwrap();
-    let outcome = distributed::run_protocol_with_faults(&run, faults).unwrap();
+    let outcome = distributed::run_protocol_chaos(&run, with_faults(faults)).unwrap();
     assert!(
         outcome.missing_assignments > 0,
         "80% loss should lose some assignments"
@@ -80,7 +90,7 @@ fn dropped_assignments_are_reported() {
 fn duplication_only_faults_keep_termination_and_shape() {
     let run = sample_run(80, 6);
     let faults = FaultConfig::new(0.0, 0.5, 7).unwrap();
-    let outcome = distributed::run_protocol_with_faults(&run, faults).unwrap();
+    let outcome = distributed::run_protocol_chaos(&run, with_faults(faults)).unwrap();
     assert!(outcome.metrics.messages_duplicated > 0);
     assert_eq!(outcome.estimate.bits().len(), 128);
 }
@@ -91,7 +101,7 @@ fn protocol_completes_under_crashes_and_corruption() {
     // the opening rounds and 5% garbling every payload they send, both
     // phase-II strategies complete cleanly — no panic, no hang to the
     // round budget — and the outcome reports the degraded quorum.
-    use distributed::{ProtocolOptions, SelectionStrategy};
+    use distributed::SelectionStrategy;
     let run = sample_run(200, 8);
     let plan = NodeFaultPlan::new(41)
         .with_crashes(0.10, (1, 8))
@@ -118,16 +128,16 @@ fn protocol_completes_under_crashes_and_corruption() {
             "{strategy:?}: no corruption drawn"
         );
         assert_eq!(outcome.agent_liveness.len(), 128);
-        assert_eq!(outcome.achieved_quorum, 128 - outcome.missing_assignments);
+        assert_eq!(outcome.achieved_quorum(), 128 - outcome.missing_assignments);
         assert!(
-            outcome.achieved_quorum < 128,
+            outcome.achieved_quorum() < 128,
             "{strategy:?}: crashes should cost some agents their decision"
         );
         assert!(
-            outcome.achieved_quorum > 64,
+            outcome.achieved_quorum() > 64,
             "{strategy:?}: 10% crashes should leave a clear quorum majority \
              (got {})",
-            outcome.achieved_quorum
+            outcome.achieved_quorum()
         );
         let dead = outcome.agent_liveness.iter().filter(|&&l| !l).count();
         assert!(

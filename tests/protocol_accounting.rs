@@ -103,7 +103,7 @@ fn check_accounting(strategy: SelectionStrategy, faults: Option<FaultConfig>, la
     );
     assert_eq!(
         counter(&snapshot, "achieved_quorum"),
-        outcome.achieved_quorum as u64,
+        outcome.achieved_quorum() as u64,
         "{label}"
     );
     assert_eq!(

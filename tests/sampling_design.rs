@@ -35,7 +35,8 @@ fn both_designs_recover_with_generous_budgets() {
 #[test]
 fn distributed_protocol_handles_subset_designs() {
     let run = instance(Sampling::WithoutReplacement, 120).sample(&mut StdRng::seed_from_u64(5));
-    let outcome = distributed::run_protocol(&run).expect("quiesces");
+    let outcome = distributed::run_protocol_chaos(&run, distributed::ProtocolOptions::default())
+        .expect("quiesces");
     assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
     // Simple design: every measurement edge has multiplicity 1, so the
     // measurement traffic equals m·Γ exactly.

@@ -5,12 +5,20 @@
 //! which `GreedyDecoder` ranks by), including on score vectors riddled
 //! with exact ties and at the degenerate `k ∈ {0, n}`.
 
-use noisy_pooled_data::core::distributed::{self, SelectionStrategy};
+use noisy_pooled_data::core::distributed::{self, ProtocolOptions, SelectionStrategy};
 use noisy_pooled_data::core::{Decoder, Estimate, GreedyDecoder, Instance, NoiseModel};
 use noisy_pooled_data::netsim::gossip::select_top_k;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The fault-free protocol with gossip selection.
+fn gossip() -> ProtocolOptions {
+    ProtocolOptions {
+        strategy: SelectionStrategy::gossip(),
+        ..ProtocolOptions::default()
+    }
+}
 
 /// The sequential reference: bits of `Estimate::from_scores`.
 fn sequential_bits(scores: &[f64], k: usize) -> Vec<bool> {
@@ -87,7 +95,7 @@ proptest! {
             .build()
             .unwrap()
             .sample(&mut StdRng::seed_from_u64(seed));
-        let outcome = distributed::run_protocol_with(&run, SelectionStrategy::gossip())
+        let outcome = distributed::run_protocol_chaos(&run, gossip())
             .expect("fault-free protocol quiesces");
         let sequential = GreedyDecoder::new().decode(&run);
         prop_assert_eq!(outcome.estimate, sequential);
@@ -115,8 +123,8 @@ fn four_way_agreement_including_k_equals_n() {
             .sample(&mut StdRng::seed_from_u64(seed));
         let decoder = GreedyDecoder::new();
         let sequential = decoder.decode(&run);
-        let batcher = distributed::run_protocol(&run).unwrap();
-        let gossip = distributed::run_protocol_with(&run, SelectionStrategy::gossip()).unwrap();
+        let batcher = distributed::run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
+        let gossip = distributed::run_protocol_chaos(&run, gossip()).unwrap();
         let standalone = select_top_k(&decoder.scores(&run), k);
         assert_eq!(batcher.estimate, sequential, "batcher n={n} k={k}");
         assert_eq!(gossip.estimate, sequential, "gossip n={n} k={k}");

@@ -107,7 +107,7 @@ fn prior_aware_greedy_beats_prior_blind_on_community_workload() {
         let run = assemble_run(truth, 220, n / 2, noise, &mut rng);
         let blind = GreedyDecoder::new().decode(&run);
         let aware = Estimate::from_scores(
-            GreedyDecoder::new().posterior_scores(&run, &prior),
+            GreedyDecoder::new().scores_with_posterior(&run, &prior).1,
             run.instance().k(),
         );
         blind_total += noisy_pooled_data::core::overlap(&blind, run.ground_truth());
@@ -144,7 +144,9 @@ fn posterior_scores_with_uniform_prior_preserve_regular_ranking() {
     let plain = GreedyDecoder::new().decode(&run);
     let uniform_prior = vec![6.0 / n as f64; n];
     let posterior = Estimate::from_scores(
-        GreedyDecoder::new().posterior_scores(&run, &uniform_prior),
+        GreedyDecoder::new()
+            .scores_with_posterior(&run, &uniform_prior)
+            .1,
         6,
     );
     assert_eq!(plain.ones(), posterior.ones());
