@@ -761,11 +761,11 @@ fn score_bits_are_pinned() {
 
     let decoder = GreedyDecoder::new();
     let gaussian = pin_run(NoiseModel::gaussian(2.0), DesignSpec::Iid, 0x5C1E);
-    let fold = |run: &Run, slot_rate: Option<f64>, fold: Fold<'_>| {
+    let folded = |run: &Run, slot_rate: Option<f64>, fold: Fold<'_>| {
         let options = ScoreOptions { slot_rate, fold };
         decoder.scores_with(run, options, &mut GreedyWorkspace::new())
     };
-    let winsorized = fold(&gaussian, None, Fold::Winsorize);
+    let winsorized = folded(&gaussian, None, Fold::Winsorize);
     assert_ne!(
         winsorized,
         decoder.scores(&gaussian),
@@ -773,9 +773,9 @@ fn score_bits_are_pinned() {
     );
     let z_run = &runs[1];
     let exclude: Vec<bool> = (0..z_run.results().len()).map(|j| j % 7 == 3).collect();
-    let trimmed = fold(z_run, None, Fold::Trim(&exclude));
+    let trimmed = folded(z_run, None, Fold::Trim(&exclude));
     let channel_run = &runs[6];
-    let with_rate = fold(channel_run, Some(0.0375), Fold::Plain);
+    let with_rate = folded(channel_run, Some(0.0375), Fold::Plain);
     let prior: Vec<f64> = (0..120).map(|i| 0.01 + 0.0005 * i as f64).collect();
     let (plain, posterior) = decoder.scores_with_posterior(channel_run, &prior);
 
