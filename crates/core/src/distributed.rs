@@ -740,22 +740,14 @@ fn garble_protocol_message(msg: &mut ProtocolMessage, entropy: u64) {
 /// # Examples
 ///
 /// ```
-/// use npd_core::distributed::{self, ProtocolOptions, SelectionStrategy};
+/// use npd_core::distributed::{self, ProtocolOptions};
 /// use npd_core::{Decoder, GreedyDecoder, Instance};
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
 /// let run = Instance::builder(64).k(2).queries(60).build().unwrap().sample(&mut rng);
-/// let sorted = distributed::run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
-/// assert_eq!(sorted.estimate, GreedyDecoder::new().decode(&run));
-///
-/// let gossip = ProtocolOptions {
-///     strategy: SelectionStrategy::gossip(),
-///     ..ProtocolOptions::default()
-/// };
-/// let gossip = distributed::run_protocol_chaos(&run, gossip).unwrap();
-/// assert_eq!(sorted.estimate, gossip.estimate);
-/// assert_eq!(gossip.sort_depth, 0); // no sorting network was built
+/// let outcome = distributed::run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
+/// assert_eq!(outcome.estimate, GreedyDecoder::new().decode(&run));
 /// ```
 pub fn run_protocol_chaos(
     run: &Run,
@@ -783,6 +775,33 @@ pub fn run_protocol_chaos(
 /// Returns [`MaxRoundsExceeded`] if the network fails to quiesce within
 /// the chaos budget, which indicates a bug rather than a survivable
 /// fault.
+///
+/// # Examples
+///
+/// A gossip run builds no sorting network and sends no assignments, yet
+/// selects the same agents as the default Batcher sort:
+///
+/// ```
+/// use npd_core::distributed::{self, ProtocolOptions, SelectionStrategy};
+/// use npd_core::Instance;
+/// use npd_telemetry::TelemetrySink;
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+/// let run = Instance::builder(64).k(2).queries(60).build().unwrap().sample(&mut rng);
+/// let sorted = distributed::run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
+///
+/// let gossip = ProtocolOptions {
+///     strategy: SelectionStrategy::gossip(),
+///     ..ProtocolOptions::default()
+/// };
+/// let sink = TelemetrySink::recording();
+/// let gossip = distributed::run_protocol_chaos_traced(&run, gossip, &sink).unwrap();
+/// assert_eq!(sorted.estimate, gossip.estimate);
+/// assert_eq!(gossip.sort_depth, 0); // no sorting network was built
+/// let counters = sink.snapshot().unwrap().counters;
+/// assert!(counters.contains(&("assign_messages", 0)));
+/// ```
 pub fn run_protocol_chaos_traced(
     run: &Run,
     options: ProtocolOptions,
