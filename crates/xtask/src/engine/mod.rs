@@ -1,28 +1,23 @@
-//! Walks source files, runs the rules, applies `xtask:allow` suppressions,
-//! and renders reports (human-readable and `--json`).
+//! Walks source files, runs the rules of [`crate::rules`], applies
+//! `xtask:allow` suppressions, and renders reports (human-readable and
+//! `--json`).
 //!
-//! Two pipelines share this machinery:
-//!
-//! * `lint` — the token-level rules of [`crate::rules`] (contract rule 9);
-//! * `analyze` — the parser-level rules of [`crate::analysis`] (contract
-//!   rule 10), plus the workspace-level `contract-sync` drift check.
-//!
-//! Suppression is ruleset-aware: each pipeline audits only the directives
-//! that name *its* rules (so an `xtask:allow(float-order)` is never
-//! reported stale by `lint`, which does not run `float-order`), while
-//! unknown-rule auditing always validates against the combined registry.
+//! Every entry point lexes and parses each file once, builds the cross-file
+//! fn database from those parses, runs every file rule against it, and
+//! audits each file's escapes against the one rule list; the workspace walk
+//! then adds the `contract-sync` drift check.
 
 mod render;
 
 pub use render::{render_json, render_text};
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::analysis::{self, FnDb};
 use crate::lexer::{self, AllowDirective, Lexed};
-use crate::parser;
-use crate::rules::{self, FileContext, FileKind, Finding};
+use crate::parser::{self, ParsedFile};
+use crate::rules::{self, FileContext, Finding, FnDb, RULE_NAMES};
 
 /// A finding bound to the file it was found in.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,9 +29,9 @@ pub struct Report {
     pub finding: Finding,
 }
 
-/// Outcome of linting or analyzing a set of files.
+/// Outcome of checking a set of files.
 #[derive(Debug, Default)]
-pub struct LintOutcome {
+pub struct CheckOutcome {
     /// Surviving (unsuppressed) findings, sorted by (file, line).
     pub reports: Vec<Report>,
     /// Number of files scanned.
@@ -45,314 +40,192 @@ pub struct LintOutcome {
     pub allows_used: usize,
 }
 
-/// Applies `xtask:allow` suppression to `raw` findings and audits the
-/// directives that belong to `my_rules`.
+impl CheckOutcome {
+    /// Finding counts by rule name.
+    pub fn per_rule(&self) -> BTreeMap<&'static str, usize> {
+        let mut counts = BTreeMap::new();
+        for r in &self.reports {
+            *counts.entry(r.finding.rule).or_default() += 1;
+        }
+        counts
+    }
+}
+
+/// One source file, lexed and parsed once.
+struct Source {
+    name: String,
+    ctx: FileContext,
+    lexed: Lexed,
+    parsed: ParsedFile,
+}
+
+impl Source {
+    fn new(name: String, ctx: FileContext, src: &str) -> Self {
+        // xtask's own sources and docs *mention* the directive syntax
+        // constantly: they count as scanned but are never checked.
+        let lexed = if ctx.crate_name == "xtask" {
+            Lexed::default()
+        } else {
+            lexer::lex(src)
+        };
+        let parsed = parser::parse(&lexed);
+        Source {
+            name,
+            ctx,
+            lexed,
+            parsed,
+        }
+    }
+}
+
+/// Applies `xtask:allow` suppression to one file's `raw` findings and
+/// audits every directive in the file.
 ///
 /// A finding of rule `r` at line `l` is silenced by an
-/// `xtask:allow(r): reason` directive on line `l` or `l - 1`. Directives
-/// naming one of `my_rules` are policed: omitting the reason or
-/// suppressing nothing are findings (`allow-audit`). When `audit_unknown`
-/// is set, directives naming a rule outside the *combined* lint + analyze
-/// registry are findings too (only `lint` sets it, so the two pipelines
-/// never report the same unknown directive twice).
-///
-/// `shadow` findings mark directives as used without ever being
-/// reported: the default lint walk passes the harness-scope findings of
-/// a test file here, so an escape that exists for `--include-harness`
-/// (e.g. a justified `wall-clock` in an example) is not called stale by
-/// the scope in which the rule never ran.
-fn apply_allows(
-    lexed: &Lexed,
-    raw: Vec<Finding>,
-    shadow: &[Finding],
-    my_rules: &[&str],
-    audit_unknown: bool,
-) -> (Vec<Finding>, usize) {
-    let mut used = vec![false; lexed.allows.len()];
-    let mark_used = |used: &mut Vec<bool>, f: &Finding| -> bool {
-        let mut suppressed = false;
-        for (i, a) in lexed.allows.iter().enumerate() {
-            if a.rule == f.rule
-                && !a.reason.is_empty()
-                && (a.line == f.line || a.line + 1 == f.line)
-            {
-                used[i] = true;
-                suppressed = true;
-            }
-        }
-        suppressed
-    };
-    for f in shadow {
-        mark_used(&mut used, f);
-    }
+/// `xtask:allow(r): reason` directive on line `l` or `l - 1`. A directive
+/// that names a rule outside [`RULE_NAMES`], omits the reason, or
+/// suppresses nothing is itself a finding (`allow-audit`).
+fn apply_allows(allows: &[AllowDirective], raw: Vec<Finding>) -> (Vec<Finding>, usize) {
+    let mut used = vec![false; allows.len()];
     let mut findings: Vec<Finding> = raw
         .into_iter()
-        .filter(|f| !mark_used(&mut used, f))
+        .filter(|f| {
+            let mut suppressed = false;
+            for (a, hit) in allows.iter().zip(used.iter_mut()) {
+                if a.rule == f.rule
+                    && !a.reason.is_empty()
+                    && (a.line == f.line || a.line + 1 == f.line)
+                {
+                    *hit = true;
+                    suppressed = true;
+                }
+            }
+            !suppressed
+        })
         .collect();
 
-    let all_rules = analysis::live_rules();
-    for (i, a) in lexed.allows.iter().enumerate() {
-        if !all_rules.contains(&a.rule.as_str()) {
-            if audit_unknown {
-                findings.push(Finding {
-                    rule: "allow-audit",
-                    line: a.line,
-                    message: format!(
-                        "`xtask:allow({})` names an unknown rule (known: {})",
-                        a.rule,
-                        all_rules.join(", ")
-                    ),
-                });
-            }
+    for (a, &hit) in allows.iter().zip(&used) {
+        let message = if !RULE_NAMES.contains(&a.rule.as_str()) {
+            format!(
+                "`xtask:allow({})` names an unknown rule (known: {})",
+                a.rule,
+                RULE_NAMES.join(", ")
+            )
+        } else if a.reason.is_empty() {
+            format!(
+                "`xtask:allow({})` carries no justification; write \
+                 `// xtask:allow({}): <reason>`",
+                a.rule, a.rule
+            )
+        } else if !hit {
+            format!(
+                "`xtask:allow({})` suppresses nothing on this or the next \
+                 line; remove the stale escape",
+                a.rule
+            )
+        } else {
             continue;
-        }
-        if !my_rules.contains(&a.rule.as_str()) {
-            continue; // the other pipeline owns this directive
-        }
-        if a.reason.is_empty() {
-            findings.push(Finding {
-                rule: "allow-audit",
-                line: a.line,
-                message: format!(
-                    "`xtask:allow({})` carries no justification; write \
-                     `// xtask:allow({}): <reason>`",
-                    a.rule, a.rule
-                ),
-            });
-        } else if !used[i] {
-            findings.push(Finding {
-                rule: "allow-audit",
-                line: a.line,
-                message: format!(
-                    "`xtask:allow({})` suppresses nothing on this or the next \
-                     line; remove the stale escape",
-                    a.rule
-                ),
-            });
-        }
+        };
+        findings.push(Finding {
+            rule: "allow-audit",
+            line: a.line,
+            message,
+        });
     }
     findings.sort_by_key(|f| (f.line, f.rule));
     let used_count = used.iter().filter(|&&u| u).count();
     (findings, used_count)
 }
 
-/// Lints one file's contents under `ctx`, returning surviving findings.
-pub fn lint_source(ctx: &FileContext, src: &str) -> (Vec<Finding>, usize) {
-    lint_source_scoped(ctx, src, false)
-}
-
-/// [`lint_source`] with the opt-in harness scope: test/bench/example
-/// files, normally exempt, are checked for the ordering hazards
-/// (`hash-iteration`, `wall-clock`) that matter even in pinning tests.
-pub fn lint_source_scoped(
-    ctx: &FileContext,
-    src: &str,
-    include_harness: bool,
-) -> (Vec<Finding>, usize) {
-    let lexed = lexer::lex(src);
-    if ctx.crate_name == "xtask" {
-        // The linter's own sources and docs *mention* the directive syntax
-        // constantly; policing them would flag every explanatory comment.
-        return (Vec::new(), 0);
+/// Runs every file rule over `sources` against one fn database built from
+/// all of them, and applies each file's escapes.
+fn check_sources(sources: &[Source]) -> CheckOutcome {
+    let mut db = FnDb::default();
+    for s in sources {
+        db.add_file(&s.ctx, &s.parsed);
     }
-    if ctx.kind == FileKind::TestLike && !include_harness {
-        // Harness files are exempt from the ordering rules in this scope,
-        // but their escapes may exist for the `--include-harness` leg:
-        // compute those findings as shadows so a justified escape that
-        // suppresses a harness-only finding is not audited as stale here.
-        let shadow = rules::check_harness(&lexed);
-        let raw = rules::check_file(ctx, &lexed);
-        return apply_allows(&lexed, raw, &shadow, rules::RULE_NAMES, true);
-    }
-    let raw = if ctx.kind == FileKind::TestLike {
-        rules::check_harness(&lexed)
-    } else {
-        rules::check_file(ctx, &lexed)
+    let mut outcome = CheckOutcome {
+        files: sources.len(),
+        ..CheckOutcome::default()
     };
-    apply_allows(&lexed, raw, &[], rules::RULE_NAMES, true)
-}
-
-/// Analyzes one file's contents under `ctx` with a database built from
-/// the file itself. Workspace runs use [`analyze_workspace`], which sees
-/// cross-file fn signatures.
-pub fn analyze_source(ctx: &FileContext, src: &str) -> (Vec<Finding>, usize) {
-    analyze_source_scoped(ctx, src, false)
-}
-
-/// [`analyze_source`] with the opt-in harness scope.
-pub fn analyze_source_scoped(
-    ctx: &FileContext,
-    src: &str,
-    include_harness: bool,
-) -> (Vec<Finding>, usize) {
-    let lexed = lexer::lex(src);
-    if ctx.crate_name == "xtask" {
-        return (Vec::new(), 0);
-    }
-    let parsed = parser::parse(&lexed);
-    let mut db = FnDb::default();
-    db.add_file(&parsed);
-    let raw = analysis::check_file(ctx, &lexed, &parsed, &db, include_harness);
-    apply_allows(&lexed, raw, &[], analysis::ANALYZE_RULE_NAMES, false)
-}
-
-/// Lints every workspace source file under `root`.
-pub fn lint_workspace(root: &Path, include_harness: bool) -> std::io::Result<LintOutcome> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
-    let mut outcome = LintOutcome::default();
-    for rel in files {
-        let Some(ctx) = FileContext::classify(&rel) else {
-            continue;
-        };
-        let src = fs::read_to_string(root.join(&rel))?;
-        let (findings, used) = lint_source_scoped(&ctx, &src, include_harness);
-        outcome.files += 1;
+    for s in sources {
+        let raw = rules::check_file(&s.ctx, &s.lexed, &s.parsed, &db);
+        let (findings, used) = apply_allows(&s.lexed.allows, raw);
         outcome.allows_used += used;
         outcome
             .reports
             .extend(findings.into_iter().map(|finding| Report {
-                file: rel.clone(),
-                finding,
-            }));
-    }
-    Ok(outcome)
-}
-
-/// Analyzes every workspace source file under `root`: builds the
-/// cross-file fn database in a first pass, runs the parser-level rules in
-/// a second, and finishes with the workspace-level `contract-sync` drift
-/// check (docs ↔ rule registry ↔ escapes ↔ README targets).
-pub fn analyze_workspace(root: &Path, include_harness: bool) -> std::io::Result<LintOutcome> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
-    let mut entries: Vec<(String, FileContext, Lexed, parser::ParsedFile)> = Vec::new();
-    let mut db = FnDb::default();
-    let mut allows: Vec<(String, AllowDirective)> = Vec::new();
-    for rel in files {
-        let Some(ctx) = FileContext::classify(&rel) else {
-            continue;
-        };
-        let src = fs::read_to_string(root.join(&rel))?;
-        let lexed = lexer::lex(&src);
-        let parsed = parser::parse(&lexed);
-        if ctx.crate_name != "xtask" {
-            allows.extend(lexed.allows.iter().cloned().map(|a| (rel.clone(), a)));
-        }
-        if analysis::analyzed_crate(&ctx) && ctx.kind == FileKind::Lib {
-            db.add_file(&parsed);
-        }
-        entries.push((rel, ctx, lexed, parsed));
-    }
-    let mut outcome = LintOutcome::default();
-    for (rel, ctx, lexed, parsed) in &entries {
-        outcome.files += 1;
-        if ctx.crate_name == "xtask" {
-            continue;
-        }
-        let raw = analysis::check_file(ctx, lexed, parsed, &db, include_harness);
-        let (findings, used) = apply_allows(lexed, raw, &[], analysis::ANALYZE_RULE_NAMES, false);
-        outcome.allows_used += used;
-        outcome
-            .reports
-            .extend(findings.into_iter().map(|finding| Report {
-                file: rel.clone(),
+                file: s.name.clone(),
                 finding,
             }));
     }
     outcome
-        .reports
-        .extend(analysis::contract_sync(root, &allows));
+}
+
+/// Checks one file's contents under `ctx`, returning the surviving
+/// findings and the number of escapes used. The fn database holds only
+/// this file's signatures (and none unless `ctx` is checked library code);
+/// workspace runs use [`check_workspace`], which sees cross-file ones.
+pub fn check_source(ctx: &FileContext, src: &str) -> (Vec<Finding>, usize) {
+    let outcome = check_sources(&[Source::new(String::new(), ctx.clone(), src)]);
+    let findings = outcome.reports.into_iter().map(|r| r.finding).collect();
+    (findings, outcome.allows_used)
+}
+
+/// Checks every workspace source file under `root`, each under the context
+/// its path implies, and finishes with the workspace-level `contract-sync`
+/// drift check (docs ↔ rule registry ↔ README targets).
+pub fn check_workspace(root: &Path) -> std::io::Result<CheckOutcome> {
+    let mut files = Vec::new();
+    collect_rs_files(root, root, &mut files)?;
+    files.sort();
+    let mut sources = Vec::new();
+    for rel in files {
+        let Some(ctx) = FileContext::classify(&rel) else {
+            continue;
+        };
+        let src = fs::read_to_string(root.join(&rel))?;
+        sources.push(Source::new(rel, ctx, &src));
+    }
+    let mut outcome = check_sources(&sources);
+    outcome.reports.extend(rules::contract_sync(root, |rel| {
+        sources.iter().find(|s| s.name == rel).map(|s| &s.lexed)
+    }));
     outcome.reports.sort_by(|a, b| {
         (&a.file, a.finding.line, a.finding.rule).cmp(&(&b.file, b.finding.line, b.finding.rule))
     });
     Ok(outcome)
 }
 
-/// Resolves explicit paths (files or directories) to the per-file list.
-fn expand_paths(paths: &[PathBuf]) -> std::io::Result<Vec<PathBuf>> {
-    let mut files = Vec::new();
+/// Checks explicitly-listed paths (files or directories) under the strict
+/// (deterministic library) context, so fixture snippets exercise every
+/// rule. The fn database spans all the given files, so cross-file
+/// provenance works within a fixture set.
+pub fn check_paths(paths: &[PathBuf]) -> std::io::Result<CheckOutcome> {
+    let mut sources = Vec::new();
     for p in paths {
-        if p.is_dir() {
+        let files = if p.is_dir() {
             let mut nested = Vec::new();
             collect_rs_files(p, p, &mut nested)?;
             nested.sort();
-            files.extend(nested.into_iter().map(|rel| p.join(rel)));
+            nested.into_iter().map(|rel| p.join(rel)).collect()
         } else {
-            files.push(p.clone());
+            vec![p.clone()]
+        };
+        for path in files {
+            let src = fs::read_to_string(&path)?;
+            sources.push(Source::new(
+                path.display().to_string(),
+                FileContext::strict(),
+                &src,
+            ));
         }
     }
-    Ok(files)
-}
-
-/// The context for explicitly-passed paths: strict (deterministic library
-/// code) so fixture snippets exercise every rule — or, under the harness
-/// scope, test-like, so the harness rules apply to the named test files.
-fn explicit_ctx(include_harness: bool) -> FileContext {
-    if include_harness {
-        FileContext {
-            crate_name: "noisy_pooled_data".to_string(),
-            kind: FileKind::TestLike,
-        }
-    } else {
-        FileContext::strict()
-    }
-}
-
-/// Lints explicitly-listed paths (files or directories).
-pub fn lint_paths(paths: &[PathBuf], include_harness: bool) -> std::io::Result<LintOutcome> {
-    let mut outcome = LintOutcome::default();
-    let ctx = explicit_ctx(include_harness);
-    for path in expand_paths(paths)? {
-        let src = fs::read_to_string(&path)?;
-        let (findings, used) = lint_source_scoped(&ctx, &src, include_harness);
-        outcome.files += 1;
-        outcome.allows_used += used;
-        outcome
-            .reports
-            .extend(findings.into_iter().map(|finding| Report {
-                file: path.display().to_string(),
-                finding,
-            }));
-    }
-    Ok(outcome)
-}
-
-/// Analyzes explicitly-listed paths (files or directories). The fn
-/// database spans all the given files, so cross-file provenance works
-/// within a fixture set.
-pub fn analyze_paths(paths: &[PathBuf], include_harness: bool) -> std::io::Result<LintOutcome> {
-    let ctx = explicit_ctx(include_harness);
-    let files = expand_paths(paths)?;
-    let mut entries: Vec<(PathBuf, Lexed, parser::ParsedFile)> = Vec::new();
-    let mut db = FnDb::default();
-    for path in files {
-        let src = fs::read_to_string(&path)?;
-        let lexed = lexer::lex(&src);
-        let parsed = parser::parse(&lexed);
-        db.add_file(&parsed);
-        entries.push((path, lexed, parsed));
-    }
-    let mut outcome = LintOutcome::default();
-    for (path, lexed, parsed) in &entries {
-        let raw = analysis::check_file(&ctx, lexed, parsed, &db, include_harness);
-        let (findings, used) = apply_allows(lexed, raw, &[], analysis::ANALYZE_RULE_NAMES, false);
-        outcome.files += 1;
-        outcome.allows_used += used;
-        outcome
-            .reports
-            .extend(findings.into_iter().map(|finding| Report {
-                file: path.display().to_string(),
-                finding,
-            }));
-    }
-    Ok(outcome)
+    Ok(check_sources(&sources))
 }
 
 /// Recursively lists `.rs` files below `dir` as root-relative paths,
-/// skipping `target/`, hidden directories, and lint fixtures.
+/// skipping `target/`, hidden directories, and rule fixtures.
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;

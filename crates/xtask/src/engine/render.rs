@@ -1,12 +1,10 @@
-//! Report rendering for both tools: the human-readable text form and the
-//! hand-rolled, schema-versioned `--json` document.
+//! Report rendering: the human-readable text form and the hand-rolled,
+//! schema-versioned `--json` document.
 
-use std::collections::BTreeMap;
+use super::CheckOutcome;
 
-use super::LintOutcome;
-
-/// Renders the human-readable report. `tool` is `"lint"` or `"analyze"`.
-pub fn render_text(outcome: &LintOutcome, tool: &str) -> String {
+/// Renders the human-readable report.
+pub fn render_text(outcome: &CheckOutcome) -> String {
     let mut s = String::new();
     for r in &outcome.reports {
         s.push_str(&format!(
@@ -15,7 +13,7 @@ pub fn render_text(outcome: &LintOutcome, tool: &str) -> String {
         ));
     }
     s.push_str(&format!(
-        "xtask {tool}: {} finding(s) across {} file(s) ({} allow escape(s) in use)\n",
+        "xtask check: {} finding(s) across {} file(s) ({} allow escape(s) in use)\n",
         outcome.reports.len(),
         outcome.files,
         outcome.allows_used
@@ -27,10 +25,8 @@ pub fn render_text(outcome: &LintOutcome, tool: &str) -> String {
 /// facade, and xtask deliberately has no dependencies). The `schema` field
 /// versions the document shape for downstream tooling; `per_rule` gives
 /// finding counts by rule.
-pub fn render_json(outcome: &LintOutcome, tool: &str) -> String {
-    let mut s = String::from("{\n  \"schema\": 1,\n");
-    s.push_str(&format!("  \"tool\": \"{}\",\n", json_escape(tool)));
-    s.push_str("  \"findings\": [");
+pub fn render_json(outcome: &CheckOutcome) -> String {
+    let mut s = String::from("{\n  \"schema\": 1,\n  \"tool\": \"check\",\n  \"findings\": [");
     for (i, r) in outcome.reports.iter().enumerate() {
         if i > 0 {
             s.push(',');
@@ -47,11 +43,7 @@ pub fn render_json(outcome: &LintOutcome, tool: &str) -> String {
         s.push_str("\n  ");
     }
     s.push_str("],\n  \"per_rule\": {");
-    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
-    for r in &outcome.reports {
-        *counts.entry(r.finding.rule).or_default() += 1;
-    }
-    for (i, (rule, n)) in counts.iter().enumerate() {
+    for (i, (rule, n)) in outcome.per_rule().iter().enumerate() {
         if i > 0 {
             s.push_str(", ");
         }

@@ -70,6 +70,27 @@ pub struct Lexed {
     pub allows: Vec<AllowDirective>,
 }
 
+/// The identifier at `toks[i]`, if that token is one.
+pub(crate) fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
+    match toks.get(i)?.kind {
+        TokenKind::Ident(ref s) => Some(s),
+        _ => None,
+    }
+}
+
+/// Whether `toks[i]` is the punctuation character `c`.
+pub(crate) fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
+    matches!(toks.get(i), Some(Token { kind: TokenKind::Punct(p), .. }) if *p == c)
+}
+
+/// Whether the tokens from `i` spell the two-segment path `head::tail`.
+pub(crate) fn path_at(toks: &[Token], i: usize, head: &str, tail: &str) -> bool {
+    ident_at(toks, i) == Some(head)
+        && punct_at(toks, i + 1, ':')
+        && punct_at(toks, i + 2, ':')
+        && ident_at(toks, i + 3) == Some(tail)
+}
+
 /// Tokenizes `src`, skipping comments and harvesting allow directives.
 pub fn lex(src: &str) -> Lexed {
     let mut out = Lexed::default();

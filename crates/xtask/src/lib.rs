@@ -1,6 +1,6 @@
 //! `xtask` — workspace automation for the noisy-pooled-data repo.
 //!
-//! Two subcommands statically enforce the determinism contract of
+//! One subcommand statically enforces the determinism contract of
 //! `docs/ARCHITECTURE.md`: the dynamic replay suite
 //! (`tests/determinism.rs`) samples a handful of pinned (scenario, seed)
 //! points, but a hazard like unordered `HashMap` iteration can pass every
@@ -8,26 +8,24 @@
 //! contract into a machine-checked property:
 //!
 //! ```text
-//! cargo run -p xtask -- lint               # token-level rules (contract rule 9)
-//! cargo run -p xtask -- analyze            # parser-level rules (contract rule 10)
-//! cargo run -p xtask -- <cmd> --json       # machine-readable report (schema 1)
-//! cargo run -p xtask -- <cmd> <paths>      # check specific files (strict context)
-//! cargo run -p xtask -- <cmd> --include-harness <paths>   # pinning-test scope
+//! cargo run -p xtask -- check              # every rule, whole workspace
+//! cargo run -p xtask -- check --json       # machine-readable report (schema 1)
+//! cargo run -p xtask -- check <paths>      # check specific files (strict context)
 //! ```
 //!
-//! `lint` walks a flat token stream: see [`rules`] for its five rules and
-//! their scopes, and [`lexer`] for the hand-rolled tokenizer that keeps
-//! comments/strings from producing false positives. `analyze` recovers
-//! item/fn structure on top of the same lexer — see [`parser`] — and runs
-//! the cross-statement rules of [`analysis`]: RNG-stream provenance,
-//! parallel float-reduction order, trait-impl purity, and the
-//! `contract-sync` drift check between ARCHITECTURE.md, the escape
-//! hatches, and the code. [`engine`] owns the shared walking, suppression
-//! (`// xtask:allow(rule): reason`) and report rendering.
+//! [`lexer`] is the hand-rolled tokenizer that keeps comments and strings
+//! from producing false positives; [`parser`] recovers item/fn structure on
+//! top of it. [`rules`] holds the one rule registry: the token rules of
+//! contract rule 9 (hash iteration, wall clock, thread observables, shared
+//! RNGs, unwrap audit), the parser rules of contract rule 10 (RNG-stream
+//! provenance, parallel float-reduction order, trait-impl purity, the
+//! clock boundary), and the `contract-sync` drift check between
+//! ARCHITECTURE.md, the README, and the code. [`engine`] lexes and parses
+//! each file once, runs every rule, audits the escapes
+//! (`// xtask:allow(rule): reason`), and renders the report.
 
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod engine;
 pub mod lexer;
 pub mod parser;

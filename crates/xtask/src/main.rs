@@ -1,55 +1,42 @@
-//! CLI entry point: `cargo run -p xtask -- <lint|analyze> [--json]
-//! [--include-harness] [paths…]`.
+//! CLI entry point: `cargo run -p xtask -- check [--json] [paths…]`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xtask::engine;
 
+const USAGE: &str = "usage: cargo run -p xtask -- check [--json] [paths…]
+  check          every determinism-contract rule (contract rules 9 and 10)
+                 over the workspace, plus the contract cross-check
+  check <paths>  check specific files/dirs under the strict (deterministic
+                 library) context — used by the fixture suites
+  --json         machine-readable report on stdout (schema-versioned)";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => run("lint", &args[1..]),
-        Some("analyze") => run("analyze", &args[1..]),
-        Some(other) => {
-            eprintln!("xtask: unknown subcommand `{other}`");
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-        None => {
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
+        Some("check") => check(&args[1..]),
+        Some(other) => usage_error(&format!("unknown subcommand `{other}`")),
+        None => usage_error("missing subcommand"),
     }
 }
 
-const USAGE: &str =
-    "usage: cargo run -p xtask -- <lint|analyze> [--json] [--include-harness] [paths…]
-  lint               token-level determinism rules (contract rule 9)
-  analyze            parser-level rules + contract cross-check (contract rule 10)
-  <cmd> <paths>      check specific files/dirs under the strict (deterministic
-                     library) context — used by the fixture suites
-  --json             machine-readable report on stdout (schema-versioned)
-  --include-harness  also check tests/benches/examples for the ordering
-                     hazards that matter in pinning tests (with explicit
-                     paths: check them under the harness context instead)";
+fn usage_error(problem: &str) -> ExitCode {
+    eprintln!("xtask: {problem}\n{USAGE}");
+    ExitCode::from(2)
+}
 
-fn run(tool: &'static str, args: &[String]) -> ExitCode {
+fn check(args: &[String]) -> ExitCode {
     let mut json = false;
-    let mut include_harness = false;
     let mut paths: Vec<PathBuf> = Vec::new();
     for a in args {
         match a.as_str() {
             "--json" => json = true,
-            "--include-harness" => include_harness = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            flag if flag.starts_with('-') => {
-                eprintln!("xtask {tool}: unknown flag `{flag}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
+            flag if flag.starts_with('-') => return usage_error(&format!("unknown flag `{flag}`")),
             path => paths.push(PathBuf::from(path)),
         }
     }
@@ -58,31 +45,25 @@ fn run(tool: &'static str, args: &[String]) -> ExitCode {
         let cwd = match std::env::current_dir() {
             Ok(d) => d,
             Err(e) => {
-                eprintln!("xtask {tool}: cannot read current dir: {e}");
+                eprintln!("xtask check: cannot read current dir: {e}");
                 return ExitCode::from(2);
             }
         };
         let Some(root) = engine::find_workspace_root(&cwd) else {
-            eprintln!("xtask {tool}: no workspace root ([workspace] Cargo.toml) above {cwd:?}");
+            eprintln!("xtask check: no workspace root ([workspace] Cargo.toml) above {cwd:?}");
             return ExitCode::from(2);
         };
-        match tool {
-            "lint" => engine::lint_workspace(&root, include_harness),
-            _ => engine::analyze_workspace(&root, include_harness),
-        }
+        engine::check_workspace(&root)
     } else {
-        match tool {
-            "lint" => engine::lint_paths(&paths, include_harness),
-            _ => engine::analyze_paths(&paths, include_harness),
-        }
+        engine::check_paths(&paths)
     };
 
     match outcome {
         Ok(outcome) => {
             if json {
-                print!("{}", engine::render_json(&outcome, tool));
+                print!("{}", engine::render_json(&outcome));
             } else {
-                print!("{}", engine::render_text(&outcome, tool));
+                print!("{}", engine::render_text(&outcome));
             }
             if outcome.reports.is_empty() {
                 ExitCode::SUCCESS
@@ -91,7 +72,7 @@ fn run(tool: &'static str, args: &[String]) -> ExitCode {
             }
         }
         Err(e) => {
-            eprintln!("xtask {tool}: {e}");
+            eprintln!("xtask check: {e}");
             ExitCode::from(2)
         }
     }

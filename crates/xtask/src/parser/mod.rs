@@ -2,7 +2,7 @@
 //!
 //! The build environment is offline (no `syn`), so this module recovers
 //! just enough structure from the token stream for the parser-level rules
-//! in [`crate::analysis`]:
+//! in [`crate::rules`]:
 //!
 //! * **items** — `fn`, `impl`, `use`, `static`, `mod` (recursed into),
 //!   everything else skipped with balanced-delimiter recovery;
@@ -19,7 +19,7 @@
 //! recoverable. Rules must therefore treat absence as "not proven", never
 //! as "proven absent".
 
-use crate::lexer::{Lexed, Token, TokenKind};
+use crate::lexer::{ident_at, punct_at, Lexed, Token, TokenKind};
 
 /// One parsed function (free or associated).
 #[derive(Debug, Clone)]
@@ -146,17 +146,6 @@ pub fn matching(toks: &[Token], open: usize) -> usize {
         i += 1;
     }
     toks.len()
-}
-
-fn ident_at(toks: &[Token], i: usize) -> Option<&str> {
-    match toks.get(i)?.kind {
-        TokenKind::Ident(ref s) => Some(s),
-        _ => None,
-    }
-}
-
-fn punct_at(toks: &[Token], i: usize, c: char) -> bool {
-    matches!(toks.get(i), Some(Token { kind: TokenKind::Punct(p), .. }) if *p == c)
 }
 
 /// Parses a lexed file into its item structure.

@@ -9,11 +9,10 @@
 //! `Instant::now`, `SystemTime`, or a libc-style `clock_gettime` — which
 //! would let wall time leak into the deterministic plane.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{path_at, punct_at, Token, TokenKind};
 use crate::parser::ParsedFile;
-use crate::rules::{FileContext, Finding};
 
-use super::{ident_at, punct_at};
+use super::{FileContext, Finding};
 
 /// Crates where a real-time `Clock` impl is the *designed* pattern: the
 /// harness constructs the clock and injects it into library sinks.
@@ -59,12 +58,7 @@ pub(super) fn clock_boundary(
                 TokenKind::Ident(s) if s == "clock_gettime" => {
                     flag(body[i].line, "the system clock");
                 }
-                TokenKind::Ident(s)
-                    if s == "Instant"
-                        && punct_at(body, i + 1, ':')
-                        && punct_at(body, i + 2, ':')
-                        && ident_at(body, i + 3) == Some("now") =>
-                {
+                TokenKind::Ident(_) if path_at(body, i, "Instant", "now") => {
                     flag(body[i].line, "the monotonic wall clock");
                 }
                 TokenKind::Ident(s) if s == "elapsed" && punct_at(body, i.wrapping_sub(1), '.') => {

@@ -1,23 +1,23 @@
 //! `contract-sync`: drift detection between ARCHITECTURE.md's contract
-//! section, the live rule registry, the workspace's escape hatches, and
-//! the README's scenario/repro references. See the table in [`super`].
+//! section, the live rule registry, and the README's scenario/repro
+//! references. See the table in [`super`]. Escapes naming a dead rule are
+//! `allow-audit` findings, reported by the engine.
 
 use std::fs;
 use std::path::Path;
 
 use crate::engine::Report;
-use crate::lexer::{self, AllowDirective, TokenKind};
-use crate::rules::Finding;
+use crate::lexer::{Lexed, TokenKind};
 
-use super::live_rules;
+use super::{Finding, RULE_NAMES};
 
-/// Workspace-level drift detection between the docs, the escape hatches,
-/// and the code. `allows` is every `xtask:allow` directive collected from
-/// the workspace walk (xtask's own sources excluded — they discuss the
-/// syntax in prose).
-pub fn contract_sync(root: &Path, allows: &[(String, AllowDirective)]) -> Vec<Report> {
+/// Workspace-level drift detection between the docs and the code.
+/// `lexed` looks up a walked source file by its root-relative path.
+pub(crate) fn contract_sync<'a>(
+    root: &Path,
+    lexed: impl Fn(&str) -> Option<&'a Lexed>,
+) -> Vec<Report> {
     let mut reports = Vec::new();
-    let live = live_rules();
     let finding = |file: &str, line: u32, message: String| Report {
         file: file.to_string(),
         finding: Finding {
@@ -45,8 +45,8 @@ pub fn contract_sync(root: &Path, allows: &[(String, AllowDirective)]) -> Vec<Re
                     "no `## Determinism and threading contract` section found".into(),
                 )),
                 Some((start_line, body)) => {
-                    // Numbered rules: contiguous 1..=max, max >= 10 (rule 9
-                    // = lint, rule 10 = analyze are the enforcement rules).
+                    // Numbered rules: contiguous 1..=max, max >= 10 (rules 9
+                    // and 10 are the enforcement rules).
                     let numbers = numbered_rules(body);
                     let max = numbers.iter().copied().max().unwrap_or(0);
                     for n in 1..=max {
@@ -64,13 +64,13 @@ pub fn contract_sync(root: &Path, allows: &[(String, AllowDirective)]) -> Vec<Re
                             *start_line,
                             format!(
                                 "contract documents {max} numbered rules; the static \
-                                 enforcement rules (9: lint, 10: analyze) must be kept \
-                                 in the document of record"
+                                 enforcement rules (9: token rules, 10: parser rules) \
+                                 must be kept in the document of record"
                             ),
                         ));
                     }
                     // Every live rule documented…
-                    for rule in &live {
+                    for rule in RULE_NAMES {
                         if !body.contains(&format!("`{rule}`")) {
                             reports.push(finding(
                                 arch_path,
@@ -84,7 +84,7 @@ pub fn contract_sync(root: &Path, allows: &[(String, AllowDirective)]) -> Vec<Re
                     }
                     // …and every documented rule bullet alive.
                     for (line, name) in rule_bullets(body, *start_line) {
-                        if !live.contains(&name.as_str()) {
+                        if !RULE_NAMES.contains(&name.as_str()) {
                             reports.push(finding(
                                 arch_path,
                                 line,
@@ -100,29 +100,13 @@ pub fn contract_sync(root: &Path, allows: &[(String, AllowDirective)]) -> Vec<Re
         }
     }
 
-    // (2) Every escape hatch in the workspace names a live rule.
-    for (file, a) in allows {
-        if !live.contains(&a.rule.as_str()) {
-            reports.push(finding(
-                file,
-                a.line,
-                format!(
-                    "`xtask:allow({})` names a rule the engine does not implement \
-                     (live: {})",
-                    a.rule,
-                    live.join(", ")
-                ),
-            ));
-        }
-    }
-
-    // (3) README scenario rows and repro targets still resolve.
+    // (2) README scenario rows and repro targets still resolve.
     let readme_path = "README.md";
     match fs::read_to_string(root.join(readme_path)) {
         Err(_) => reports.push(finding(readme_path, 1, "missing README.md".into())),
         Ok(text) => {
-            let scenario_strs = string_literals(root, "crates/experiments/src/scenarios.rs");
-            let target_strs = string_literals(root, "crates/experiments/src/main.rs");
+            let scenario_strs = lexed("crates/experiments/src/scenarios.rs").map(string_literals);
+            let target_strs = lexed("crates/experiments/src/main.rs").map(string_literals);
             match &scenario_strs {
                 None => reports.push(finding(
                     "crates/experiments/src/scenarios.rs",
@@ -306,18 +290,14 @@ fn repro_targets(text: &str) -> Vec<(u32, String)> {
     targets
 }
 
-/// All string literals in a source file, or `None` if it is unreadable.
-fn string_literals(root: &Path, rel: &str) -> Option<Vec<String>> {
-    let src = fs::read_to_string(root.join(rel)).ok()?;
-    let lexed = lexer::lex(&src);
-    Some(
-        lexed
-            .tokens
-            .into_iter()
-            .filter_map(|t| match t.kind {
-                TokenKind::Str(s) => Some(s),
-                _ => None,
-            })
-            .collect(),
-    )
+/// All string literals in a lexed source file.
+fn string_literals(lexed: &Lexed) -> Vec<String> {
+    lexed
+        .tokens
+        .iter()
+        .filter_map(|t| match &t.kind {
+            TokenKind::Str(s) => Some(s.clone()),
+            _ => None,
+        })
+        .collect()
 }

@@ -1,10 +1,9 @@
 //! `float-order`: no cross-item float reduction at the chain level of a
 //! rayon adapter (contract rule 3). See the table in [`super`].
 
-use crate::lexer::{Token, TokenKind};
-use crate::rules::Finding;
+use crate::lexer::{punct_at, Token, TokenKind};
 
-use super::{is_par_entry, par_span_end, punct_at};
+use super::{is_par_entry, statement_end, Finding};
 
 // ---------------------------------------------------------------------
 // float-order
@@ -27,7 +26,7 @@ pub(super) fn float_order(toks: &[Token], out: &mut Vec<Finding>) {
             i += 1;
             continue;
         }
-        let end = par_span_end(toks, i);
+        let end = statement_end(toks, i);
         // Chain level = delimiter depth 0 relative to the adapter; closure
         // bodies and argument lists sit at depth ≥ 1, so their sequential
         // per-item reductions are exempt by construction.

@@ -4,9 +4,8 @@
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::ParsedFile;
-use crate::rules::Finding;
 
-use super::{ident_at, punct_at};
+use super::{ambient_read, Finding};
 
 /// The traits (and the one enum with an inherent sampling impl) whose
 /// impls must be pure in `(params, n, stream)` — contract rules 6–8.
@@ -15,12 +14,9 @@ const PURE_IMPL_TARGETS: &[&str] = &["PoolingDesign", "PopulationModel", "NoiseM
 // impl-purity
 // ---------------------------------------------------------------------
 
-/// Idents that constitute observable process state inside a pure impl.
-const IMPURE_IDENTS: &[(&str, &str)] = &[
-    ("thread_rng", "the ambient thread RNG"),
-    ("SystemTime", "the wall clock"),
-    ("available_parallelism", "the worker-pool shape"),
-    ("current_num_threads", "the worker-pool shape"),
+/// Shared-state types that make a pure impl observable beyond the
+/// ambient reads every RNG-taking fn is checked for.
+const SHARED_STATE: &[(&str, &str)] = &[
     ("AtomicBool", "interior-mutable shared state"),
     ("AtomicI64", "interior-mutable shared state"),
     ("AtomicU32", "interior-mutable shared state"),
@@ -51,10 +47,23 @@ pub(super) fn impl_purity(toks: &[Token], parsed: &ParsedFile, out: &mut Vec<Fin
             .unwrap_or_else(|| imp.type_name.clone());
         let Some((b0, b1)) = f.body else { continue };
         let body = &toks[b0..b1];
-        let mut flag = |line: u32, what: &str| {
+        for i in 0..body.len() {
+            let what = match &body[i].kind {
+                TokenKind::Ident(s) if s == "static" => Some("a function-local static"),
+                TokenKind::Ident(s) => SHARED_STATE
+                    .iter()
+                    .find(|(id, _)| id == s)
+                    .map(|&(_, what)| what)
+                    .or_else(|| ambient_read(body, i, parsed)),
+                TokenKind::Str(s) if s.contains("RAYON_NUM_THREADS") => {
+                    Some("the worker-pool shape")
+                }
+                _ => None,
+            };
+            let Some(what) = what else { continue };
             out.push(Finding {
                 rule: "impl-purity",
-                line,
+                line: body[i].line,
                 message: format!(
                     "`{}::{}` reaches {what}: a `{subject}` impl must be a pure \
                      function of (params, n, stream) — contract rules 6–8. Move \
@@ -63,45 +72,6 @@ pub(super) fn impl_purity(toks: &[Token], parsed: &ParsedFile, out: &mut Vec<Fin
                     subject, f.name
                 ),
             });
-        };
-        for i in 0..body.len() {
-            match &body[i].kind {
-                TokenKind::Ident(s) => {
-                    if let Some((_, what)) = IMPURE_IDENTS.iter().find(|(id, _)| id == s) {
-                        flag(body[i].line, what);
-                    } else if s == "Instant"
-                        && punct_at(body, i + 1, ':')
-                        && punct_at(body, i + 2, ':')
-                        && ident_at(body, i + 3) == Some("now")
-                    {
-                        flag(body[i].line, "the wall clock");
-                    } else if s == "env"
-                        && punct_at(body, i + 1, ':')
-                        && punct_at(body, i + 2, ':')
-                        && ident_at(body, i + 3) == Some("var")
-                    {
-                        flag(body[i].line, "the process environment");
-                    } else if s == "thread"
-                        && punct_at(body, i + 1, ':')
-                        && punct_at(body, i + 2, ':')
-                        && ident_at(body, i + 3) == Some("current")
-                    {
-                        flag(body[i].line, "thread identity");
-                    } else if s == "static" {
-                        flag(body[i].line, "a function-local static");
-                    } else if parsed
-                        .statics
-                        .iter()
-                        .any(|st| st.hazardous && st.name == *s)
-                    {
-                        flag(body[i].line, "a mutable static");
-                    }
-                }
-                TokenKind::Str(s) if s.contains("RAYON_NUM_THREADS") => {
-                    flag(body[i].line, "the worker-pool shape");
-                }
-                _ => {}
-            }
         }
     }
 }

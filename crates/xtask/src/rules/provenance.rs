@@ -2,11 +2,12 @@
 //! streams and never cross a rayon closure boundary (contract rules 1, 4,
 //! 6, 7). See the table in [`super`] and the false-positive notes there.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{ident_at, punct_at, Token, TokenKind};
 use crate::parser::{matching, ParsedFile};
-use crate::rules::Finding;
 
-use super::{ident_at, is_par_entry, par_span_end, punct_at, FnDb};
+use super::{
+    ambient_read, closure_bound_names, for_each_closure, is_par_entry, statement_end, Finding, FnDb,
+};
 
 // ---------------------------------------------------------------------
 // rng-provenance
@@ -138,24 +139,7 @@ fn early_return_between_draws(
         if loops.iter().any(|&(a, b)| a <= i && i <= b) {
             continue;
         }
-        // Statement extent: to `;` at this nesting level or a net-negative
-        // closer.
-        let mut depth = 0i32;
-        let mut end = i;
-        while end < body.len() {
-            match body[end].kind {
-                TokenKind::Punct('(' | '[' | '{') => depth += 1,
-                TokenKind::Punct(')' | ']' | '}') => {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                }
-                TokenKind::Punct(';') if depth == 0 => break,
-                _ => {}
-            }
-            end += 1;
-        }
+        let end = statement_end(body, i);
         if draws.iter().any(|&d| d >= i && d <= end) {
             continue; // the return expression itself draws (delegation)
         }
@@ -183,10 +167,13 @@ fn early_return_between_draws(
 /// thread observables / ambient RNGs / mutable statics silently widen its
 /// input set (contract rules 1 and 6).
 fn ambient_state_reads(body: &[Token], parsed: &ParsedFile, fn_name: &str, out: &mut Vec<Finding>) {
-    let mut flag = |line: u32, what: &str| {
+    for i in 0..body.len() {
+        let Some(what) = ambient_read(body, i, parsed) else {
+            continue;
+        };
         out.push(Finding {
             rule: "rng-provenance",
-            line,
+            line: body[i].line,
             message: format!(
                 "`{fn_name}` takes an RNG but also reads {what}: a sampling fn \
                  must be a pure function of (args, stream). Thread the value in \
@@ -194,128 +181,7 @@ fn ambient_state_reads(body: &[Token], parsed: &ParsedFile, fn_name: &str, out: 
                  `// xtask:allow(rng-provenance): <why output-invariant>`"
             ),
         });
-    };
-    for i in 0..body.len() {
-        match &body[i].kind {
-            TokenKind::Ident(s) if s == "thread_rng" => {
-                flag(body[i].line, "the ambient thread RNG")
-            }
-            TokenKind::Ident(s) if s == "SystemTime" => flag(body[i].line, "the wall clock"),
-            TokenKind::Ident(s)
-                if s == "Instant"
-                    && punct_at(body, i + 1, ':')
-                    && punct_at(body, i + 2, ':')
-                    && ident_at(body, i + 3) == Some("now") =>
-            {
-                flag(body[i].line, "the wall clock");
-            }
-            TokenKind::Ident(s) if s == "available_parallelism" || s == "current_num_threads" => {
-                flag(body[i].line, "the worker-pool shape");
-            }
-            TokenKind::Ident(s)
-                if s == "env"
-                    && punct_at(body, i + 1, ':')
-                    && punct_at(body, i + 2, ':')
-                    && ident_at(body, i + 3) == Some("var") =>
-            {
-                flag(body[i].line, "the process environment");
-            }
-            TokenKind::Ident(s)
-                if s == "thread"
-                    && punct_at(body, i + 1, ':')
-                    && punct_at(body, i + 2, ':')
-                    && ident_at(body, i + 3) == Some("current") =>
-            {
-                flag(body[i].line, "thread identity");
-            }
-            TokenKind::Ident(s)
-                if parsed
-                    .statics
-                    .iter()
-                    .any(|st| st.hazardous && st.name == *s) =>
-            {
-                flag(body[i].line, "a mutable static");
-            }
-            _ => {}
-        }
     }
-}
-/// Calls `visit(params, body)` for each closure in `span`.
-fn for_each_closure(span: &[Token], visit: &mut dyn FnMut(&[String], &[Token])) {
-    let mut i = 0usize;
-    while i < span.len() {
-        let opens = punct_at(span, i, '|')
-            && (i == 0
-                || matches!(&span[i - 1].kind, TokenKind::Punct('(' | ',' | '{' | '='))
-                || ident_at(span, i - 1) == Some("move"));
-        if !opens {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        let mut params: Vec<String> = Vec::new();
-        while j < span.len() && !punct_at(span, j, '|') {
-            if let Some(name) = ident_at(span, j) {
-                params.push(name.to_string());
-            }
-            j += 1;
-        }
-        let body_start = j + 1;
-        let mut k = body_start;
-        let mut depth = 0i32;
-        let braced = punct_at(span, body_start, '{');
-        while k < span.len() {
-            match span[k].kind {
-                TokenKind::Punct('(' | '[' | '{') => depth += 1,
-                TokenKind::Punct(')' | ']' | '}') => {
-                    depth -= 1;
-                    if depth < 0 || (braced && depth == 0) {
-                        break;
-                    }
-                }
-                TokenKind::Punct(',') if depth == 0 && !braced => break,
-                _ => {}
-            }
-            k += 1;
-        }
-        let body = &span[body_start..k.min(span.len())];
-        visit(&params, body);
-        i = k + 1;
-    }
-}
-
-/// Names bound inside a closure body: its params plus `let` / `for`
-/// bindings (flat scan — over-approximating bindings only ever
-/// *suppresses* findings).
-fn closure_bound_names(params: &[String], body: &[Token]) -> Vec<String> {
-    let mut bound: Vec<String> = params.to_vec();
-    let mut i = 0usize;
-    while i < body.len() {
-        match ident_at(body, i) {
-            Some("let") => {
-                let mut j = i + 1;
-                while j < body.len() && !punct_at(body, j, '=') && !punct_at(body, j, ';') {
-                    if let Some(name) = ident_at(body, j) {
-                        bound.push(name.to_string());
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            Some("for") => {
-                let mut j = i + 1;
-                while j < body.len() && ident_at(body, j) != Some("in") {
-                    if let Some(name) = ident_at(body, j) {
-                        bound.push(name.to_string());
-                    }
-                    j += 1;
-                }
-                i = j;
-            }
-            _ => i += 1,
-        }
-    }
-    bound
 }
 
 /// Flags tracked RNG parameters (and their reborrow aliases) used inside a
@@ -329,7 +195,7 @@ fn parallel_boundary(body: &[Token], rng_names: &[String], db: &FnDb, out: &mut 
             i += 1;
             continue;
         }
-        let end = par_span_end(body, i);
+        let end = statement_end(body, i);
         let span = &body[i..end];
         let mut seen: Vec<(u32, String)> = Vec::new();
         for_each_closure(span, &mut |params, cbody| {

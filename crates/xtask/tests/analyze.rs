@@ -1,10 +1,15 @@
-//! Fixture-driven self-tests of the parser-level analyzer, plus the
-//! workspace self-check: the real tree must analyze clean.
+//! Fixture pins for the parser rules (contract rule 10), plus the command
+//! line's workspace mode: run with no paths, `check` finds the workspace
+//! root itself and the real tree checks clean.
+//!
+//! Each fixture test pins `check`'s full `per_rule` map, so a parser-rule
+//! fixture that also trips a token rule says so here.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
-use xtask::engine::{self, LintOutcome};
+use xtask::engine::{self, CheckOutcome};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -12,36 +17,31 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn analyze(name: &str) -> LintOutcome {
-    engine::analyze_paths(&[fixture(name)], false).expect("fixture readable")
+fn check(name: &str) -> CheckOutcome {
+    engine::check_paths(&[fixture(name)]).expect("fixture readable")
 }
 
-fn rules_hit(outcome: &LintOutcome) -> Vec<&str> {
-    let mut rules: Vec<&str> = outcome.reports.iter().map(|r| r.finding.rule).collect();
-    rules.sort_unstable();
-    rules.dedup();
-    rules
+fn assert_per_rule(outcome: &CheckOutcome, expected: &[(&str, usize)]) {
+    let expected: BTreeMap<&str, usize> = expected.iter().copied().collect();
+    assert_eq!(outcome.per_rule(), expected, "{:#?}", outcome.reports);
 }
 
-/// Runs the real `xtask` binary and returns (exit-success, stdout).
-fn run_binary(args: &[&str]) -> (bool, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
+/// Runs the real `xtask` binary from this crate's directory.
+fn run_binary(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_xtask"))
         .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
-        .expect("xtask binary runs");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-    )
+        .expect("xtask binary runs")
 }
 
 #[test]
 fn rng_provenance_fixture_is_flagged() {
-    let outcome = analyze("bad/rng_provenance.rs");
-    assert_eq!(rules_hit(&outcome), ["rng-provenance"]);
+    let outcome = check("bad/rng_provenance.rs");
     // Early return between draws, ambient thread_rng, direct closure
-    // capture, and the FnDb-resolved call-argument capture.
-    assert_eq!(outcome.reports.len(), 4, "{:?}", outcome.reports);
+    // capture, and the FnDb-resolved call-argument capture; the direct
+    // capture is also a shared-rng finding.
+    assert_per_rule(&outcome, &[("rng-provenance", 4), ("shared-rng", 1)]);
     let messages: Vec<&str> = outcome
         .reports
         .iter()
@@ -62,31 +62,32 @@ fn rng_provenance_fixture_is_flagged() {
 
 #[test]
 fn float_order_fixture_is_flagged() {
-    let outcome = analyze("bad/float_order.rs");
-    assert_eq!(rules_hit(&outcome), ["float-order"]);
     // Untyped `.sum()`, explicit `.sum::<f64>()`, and `.reduce(...)`.
-    assert_eq!(outcome.reports.len(), 3, "{:?}", outcome.reports);
+    assert_per_rule(&check("bad/float_order.rs"), &[("float-order", 3)]);
 }
 
 #[test]
 fn impl_purity_fixture_is_flagged() {
-    let outcome = analyze("bad/impl_purity.rs");
-    assert_eq!(rules_hit(&outcome), ["impl-purity"]);
     // Wall clock in a PoolingDesign, env read in a PopulationModel, and a
-    // mutable static in a NoiseModel.
-    assert_eq!(outcome.reports.len(), 3, "{:?}", outcome.reports);
+    // mutable static in a NoiseModel; the two `SystemTime` mentions are
+    // also wall-clock findings.
+    assert_per_rule(
+        &check("bad/impl_purity.rs"),
+        &[("impl-purity", 3), ("wall-clock", 2)],
+    );
 }
 
 #[test]
 fn clock_boundary_fixture_is_flagged() {
-    let outcome = analyze("bad/clock_boundary.rs");
-    assert_eq!(rules_hit(&outcome), ["clock-boundary"]);
+    let outcome = check("bad/clock_boundary.rs");
     // Instant::now, SystemTime, and a stored-origin .elapsed() — the
-    // constant SteadyClock impl must not be flagged.
-    assert_eq!(outcome.reports.len(), 3, "{:?}", outcome.reports);
+    // constant SteadyClock impl must not be flagged. The `use` line and
+    // both real-time reads are also wall-clock findings.
+    assert_per_rule(&outcome, &[("clock-boundary", 3), ("wall-clock", 3)]);
     let messages: Vec<&str> = outcome
         .reports
         .iter()
+        .filter(|r| r.finding.rule == "clock-boundary")
         .map(|r| r.finding.message.as_str())
         .collect();
     assert!(messages.iter().all(|m| m.contains("contract rule 11")));
@@ -101,12 +102,7 @@ fn clock_boundary_fixture_is_flagged() {
 
 #[test]
 fn analyzer_traps_stay_clean() {
-    let outcome = analyze("clean/analyze_traps.rs");
-    assert!(
-        outcome.reports.is_empty(),
-        "false positives: {:?}",
-        outcome.reports
-    );
+    assert_per_rule(&check("clean/analyze_traps.rs"), &[]);
 }
 
 #[test]
@@ -118,44 +114,15 @@ fn binary_exits_nonzero_on_every_bad_analyzer_fixture() {
         "bad/clock_boundary.rs",
     ] {
         let path = fixture(name);
-        let (ok, stdout) = run_binary(&["analyze", path.to_str().expect("utf-8 path")]);
-        assert!(!ok, "{name} must fail analysis; stdout:\n{stdout}");
+        let out = run_binary(&["check", path.to_str().expect("utf-8 path")]);
+        assert_eq!(out.status.code(), Some(1), "{name} must fail the check");
     }
 }
 
 #[test]
-fn json_report_is_schema_versioned_for_both_tools() {
-    let path = fixture("bad/float_order.rs");
-    let (ok, stdout) = run_binary(&["analyze", "--json", path.to_str().expect("utf-8 path")]);
-    assert!(!ok);
-    assert!(stdout.contains("\"schema\": 1"), "{stdout}");
-    assert!(stdout.contains("\"tool\": \"analyze\""), "{stdout}");
-    assert!(stdout.contains("\"rule\": \"float-order\""), "{stdout}");
-    assert!(
-        stdout.contains("\"per_rule\": {\"float-order\": 3}"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("\"ok\": false"), "{stdout}");
-
-    let lint_path = fixture("bad/wall_clock.rs");
-    let (ok, stdout) = run_binary(&["lint", "--json", lint_path.to_str().expect("utf-8 path")]);
-    assert!(!ok);
-    assert!(stdout.contains("\"schema\": 1"), "{stdout}");
-    assert!(stdout.contains("\"tool\": \"lint\""), "{stdout}");
-}
-
-#[test]
 fn workspace_analyzes_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root exists");
-    let outcome = engine::analyze_workspace(&root, false).expect("workspace readable");
-    assert!(
-        outcome.reports.is_empty(),
-        "the workspace violates its own determinism contract:\n{}",
-        engine::render_text(&outcome, "analyze")
-    );
-    // The walk really covered the tree; lint fixtures are the only skips.
-    assert!(outcome.files > 150, "only {} files scanned", outcome.files);
+    let out = run_binary(&["check"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.starts_with("xtask check: 0 finding(s)"), "{stdout}");
 }

@@ -1,5 +1,6 @@
-//! The contract-sync drift fixture: a miniature repo whose docs disagree
-//! with its code in exactly five pinned ways.
+//! The contract-sync drift fixture: a miniature repo whose docs and code
+//! disagree in exactly five pinned ways — four `contract-sync` drifts plus
+//! one escape naming a dead rule, which `allow-audit` alone reports.
 
 use std::path::{Path, PathBuf};
 
@@ -11,20 +12,18 @@ fn drift_root() -> PathBuf {
 
 #[test]
 fn contract_drift_fixture_yields_the_five_pinned_findings() {
-    let outcome = engine::analyze_workspace(&drift_root(), false).expect("fixture tree readable");
+    let outcome = engine::check_workspace(&drift_root()).expect("fixture tree readable");
     let messages: Vec<String> = outcome
         .reports
         .iter()
-        .map(|r| format!("{}: {}", r.file, r.finding.message))
+        .map(|r| format!("{}: [{}] {}", r.file, r.finding.rule, r.finding.message))
         .collect();
-    assert!(
-        outcome
-            .reports
-            .iter()
-            .all(|r| r.finding.rule == "contract-sync"),
-        "only contract-sync findings expected: {messages:?}"
-    );
     assert_eq!(outcome.reports.len(), 5, "{messages:#?}");
+    assert_eq!(
+        outcome.per_rule(),
+        [("allow-audit", 1), ("contract-sync", 4)].into(),
+        "{messages:#?}"
+    );
 
     let has = |needle: &str| messages.iter().any(|m| m.contains(needle));
     assert!(
@@ -36,7 +35,7 @@ fn contract_drift_fixture_yields_the_five_pinned_findings() {
         "{messages:#?}"
     );
     assert!(
-        has("`xtask:allow(no-such-rule)` names a rule the engine does not implement"),
+        has("[allow-audit] `xtask:allow(no-such-rule)` names an unknown rule"),
         "{messages:#?}"
     );
     assert!(
@@ -51,7 +50,7 @@ fn drift_fixture_resolves_the_healthy_references() {
     // The same fixture also contains references that DO resolve —
     // `alpha-run`, `fig2`, the eleven contiguous numbered rules, and the
     // ten live-rule bullets — none of which may produce findings.
-    let outcome = engine::analyze_workspace(&drift_root(), false).expect("fixture tree readable");
+    let outcome = engine::check_workspace(&drift_root()).expect("fixture tree readable");
     for bad in ["alpha-run", "fig2", "not contiguous", "numbered rules"] {
         assert!(
             !outcome

@@ -1,92 +1,50 @@
-//! The `--include-harness` scope: determinism-pinning tests must not
-//! themselves use hash-iteration or wall-clock ordering, and the real
-//! harness files must pass that bar.
+//! The harness scope: test-like files (`tests/`, `benches/`, `examples/`)
+//! are determinism-pinning code, so `check` holds them to the
+//! hash-iteration and wall-clock rules and the parser rules, but not to
+//! the library-hygiene rules.
 
-use std::path::{Path, PathBuf};
+use std::collections::BTreeMap;
+use std::path::Path;
 
 use xtask::engine;
+use xtask::rules::{FileContext, FileKind};
 
-fn fixture(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
+/// Per-rule finding counts for a fixture's source checked as a test file.
+fn check_as_test_file(name: &str) -> BTreeMap<&'static str, usize> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
-        .join(name)
-}
-
-fn root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root exists")
+        .join(name);
+    let src = std::fs::read_to_string(path).expect("fixture readable");
+    let ctx = FileContext::classify("tests/pinning.rs").expect("a checked path");
+    assert_eq!(ctx.kind, FileKind::TestLike);
+    let (findings, _) = engine::check_source(&ctx, &src);
+    let mut counts = BTreeMap::new();
+    for f in findings {
+        *counts.entry(f.rule).or_default() += 1;
+    }
+    counts
 }
 
 #[test]
 fn harness_scope_applies_hash_and_clock_rules_to_test_files() {
-    // Under the default scope an explicit path is linted as strict library
-    // code; under --include-harness it is linted as a test file, where
-    // only the ordering hazards that matter in pinning tests apply. The
-    // bad fixtures double as "test files" here.
-    let hash =
-        engine::lint_paths(&[fixture("bad/hash_iteration.rs")], true).expect("fixture readable");
-    assert!(
-        hash.reports
-            .iter()
-            .all(|r| r.finding.rule == "hash-iteration"),
-        "{:?}",
-        hash.reports
+    let expect =
+        |pairs: &[(&'static str, usize)]| -> BTreeMap<_, _> { pairs.iter().copied().collect() };
+    assert_eq!(
+        check_as_test_file("bad/hash_iteration.rs"),
+        expect(&[("hash-iteration", 3)])
     );
-    assert!(!hash.reports.is_empty());
-
-    let clock =
-        engine::lint_paths(&[fixture("bad/wall_clock.rs")], true).expect("fixture readable");
-    assert!(
-        clock.reports.iter().all(|r| r.finding.rule == "wall-clock"),
-        "{:?}",
-        clock.reports
+    assert_eq!(
+        check_as_test_file("bad/wall_clock.rs"),
+        expect(&[("wall-clock", 3)])
     );
-    assert!(!clock.reports.is_empty());
-
+    // The parser rules apply to test files too.
+    assert_eq!(
+        check_as_test_file("bad/float_order.rs"),
+        expect(&[("float-order", 3)])
+    );
     // Rules outside the harness subset must NOT apply to test files:
-    // unwrap is the designed failure mode of a broken test.
-    let unwrap =
-        engine::lint_paths(&[fixture("bad/unwrap_audit.rs")], true).expect("fixture readable");
-    assert!(
-        unwrap.reports.is_empty(),
-        "unwrap-audit must not fire in harness scope: {:?}",
-        unwrap.reports
-    );
-}
-
-#[test]
-fn pinning_test_files_pass_the_harness_bar() {
-    // The CI leg: the determinism replay suite and the static-contract
-    // pins are themselves free of ordering hazards, under both tools.
-    let targets = [
-        root().join("tests/determinism.rs"),
-        root().join("tests/static_contract.rs"),
-    ];
-    let lint = engine::lint_paths(&targets, true).expect("harness files readable");
-    assert!(
-        lint.reports.is_empty(),
-        "pinning tests use ordering hazards:\n{}",
-        engine::render_text(&lint, "lint")
-    );
-    let analyze = engine::analyze_paths(&targets, true).expect("harness files readable");
-    assert!(
-        analyze.reports.is_empty(),
-        "pinning tests fail analysis:\n{}",
-        engine::render_text(&analyze, "analyze")
-    );
-}
-
-#[test]
-fn whole_workspace_passes_the_harness_sweep() {
-    // Beyond the two pinned CI files, the full tree under
-    // --include-harness: every test/bench/example is free of the
-    // hash-iteration and wall-clock hazards.
-    let outcome = engine::lint_workspace(&root(), true).expect("workspace readable");
-    assert!(
-        outcome.reports.is_empty(),
-        "harness files use ordering hazards:\n{}",
-        engine::render_text(&outcome, "lint")
-    );
+    // unwrap is the designed failure mode of a broken test, and a test may
+    // observe its own thread.
+    assert_eq!(check_as_test_file("bad/unwrap_audit.rs"), expect(&[]));
+    assert_eq!(check_as_test_file("bad/thread_observable.rs"), expect(&[]));
 }

@@ -1,5 +1,5 @@
 //! Regression pins for the live violations found by the static
-//! determinism tooling (`cargo run -p xtask -- lint` / `analyze`):
+//! determinism tooling (`cargo run -p xtask -- check`):
 //!
 //! * `decoders::mcmc` — the per-proposal query-delta accumulator was an
 //!   unordered `HashMap` (PR 7, `hash-iteration`), making the float energy
@@ -125,7 +125,7 @@ fn mcmc_output_stream_is_pinned_after_sorted_delta_merge() {
 #[test]
 fn netsim_has_no_rng_provenance_hazards() {
     let netsim_src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/netsim/src");
-    let outcome = xtask::engine::analyze_paths(&[netsim_src], false).expect("netsim sources read");
+    let outcome = xtask::engine::check_paths(&[netsim_src]).expect("netsim sources read");
     let provenance: Vec<_> = outcome
         .reports
         .iter()
