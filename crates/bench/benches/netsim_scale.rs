@@ -78,7 +78,7 @@ fn bench_round_loop(c: &mut Criterion) {
             |b, _| {
                 // One iteration = one synchronous round: n sends, n
                 // deliveries through the CSR arena.
-                b.iter(|| black_box(net.step_parallel()));
+                b.iter(|| black_box(net.step()));
             },
         );
     }

@@ -77,8 +77,8 @@ use crate::greedy::{Estimate, ScoreAccumulator};
 use crate::model::Run;
 use npd_netsim::gossip::{TopKCore, TopKMsg, PROBE_LIMIT};
 use npd_netsim::{
-    recommended_shards, Activity, Context, Envelope, FaultConfig, MaxRoundsExceeded, Metrics,
-    Network, Node, NodeFaultPlan, NodeId, NodeTraffic, ReliableConfig,
+    Activity, Context, Envelope, FaultConfig, MaxRoundsExceeded, Metrics, Network, Node,
+    NodeFaultPlan, NodeId, NodeTraffic, ReliableConfig,
 };
 use npd_sortnet::SortingNetwork;
 use npd_telemetry::{Event, TelemetrySink};
@@ -682,8 +682,8 @@ pub struct ProtocolOptions {
     /// network the protocol's scores equal
     /// [`crate::GreedyDecoder::scores_with`] under that fold bit for bit.
     pub winsorize: bool,
-    /// Override the network shard count (default:
-    /// [`recommended_shards`] over all `n + m` nodes). The outcome —
+    /// Override the network shard count (default: one shard per rayon
+    /// worker, at least 64 of the `n + m` nodes each). The outcome —
     /// and the deterministic telemetry stream of
     /// [`run_protocol_chaos_traced`] — is bit-identical for every
     /// value; this only controls available parallelism, and exists so
@@ -886,25 +886,23 @@ pub fn run_protocol_chaos_traced(
     let slack = max_delay + straggler_slack + retry_slack + options.grace;
     let budget = match strategy {
         SelectionStrategy::BatcherSort => sort_depth as u64 + 5 + slack,
-        // max_rounds_with already carries the quiescence slack; add only
-        // the two measurement rounds and the fault slack.
+        // max_rounds already carries the quiescence slack; add only the
+        // two measurement rounds and the fault slack.
         SelectionStrategy::GossipThreshold { probe_limit } => {
-            2 + npd_netsim::gossip::TopKNode::max_rounds_with(n, probe_limit) + slack
+            2 + npd_netsim::gossip::TopKNode::max_rounds(n, probe_limit) + slack
         }
     };
 
     // One shard per rayon worker unless overridden; the outcome is
     // bit-identical for any shard count (the netsim engine's core
     // guarantee).
-    let shards = options
-        .shards
-        .unwrap_or_else(|| recommended_shards(nodes.len()));
-    let mut network = match faults {
-        None => Network::new(nodes),
-        Some(cfg) => Network::with_faults(nodes, cfg),
+    let mut network = Network::new(nodes).with_telemetry(telemetry.clone());
+    if let Some(shards) = options.shards {
+        network = network.with_shards(shards);
     }
-    .with_shards(shards)
-    .with_telemetry(telemetry.clone());
+    if let Some(cfg) = faults {
+        network = network.with_faults(cfg);
+    }
     if let Some(plan) = options.node_faults {
         network = network.with_node_faults(plan);
         if plan.has_corruption() {
@@ -914,7 +912,7 @@ pub fn run_protocol_chaos_traced(
     if let Some(rc) = options.reliable {
         network = network.with_reliability(rc);
     }
-    let report = network.run_until_quiescent_parallel(budget)?;
+    let report = network.run_until_quiescent(budget)?;
     let metrics = *network.metrics();
     let node_traffic = network.traffic().to_vec();
 

@@ -53,6 +53,13 @@ fn node_hash(seed: u64, salt: u64, node: u64) -> u64 {
     splitmix64(seed ^ splitmix64(salt) ^ splitmix64(node ^ (salt << 1)))
 }
 
+/// Whether a node with crash schedule `span` (see
+/// [`NodeFaultPlan::crash_span`]) is down — crashed and not yet
+/// restarted — at `round`.
+pub(crate) fn down_in(span: Option<(u64, Option<u64>)>, round: u64) -> bool {
+    span.is_some_and(|(crash, restart)| round >= crash && restart.is_none_or(|r| round < r))
+}
+
 /// Configuration for randomized message faults: the *uniform* instance of
 /// the general per-link fault model (see [`crate::LinkFaults`] and
 /// [`crate::Topology::with_link_faults`] for per-link overrides).
@@ -390,10 +397,7 @@ impl NodeFaultPlan {
 
     /// Whether `node` is down (crashed and not yet restarted) at `round`.
     pub fn is_down(&self, node: usize, round: u64) -> bool {
-        match self.crash_span(node) {
-            Some((crash, restart)) => round >= crash && restart.is_none_or(|r| round < r),
-            None => false,
-        }
+        down_in(self.crash_span(node), round)
     }
 
     /// Extra delivery delay of every message `node` sends (0 for

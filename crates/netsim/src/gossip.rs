@@ -29,9 +29,7 @@
 //! runs it as its phase II when the `GossipThreshold` strategy is chosen.
 
 use crate::schedule::{AllReduceSend, IdLine};
-use crate::{
-    recommended_shards, Activity, Context, FaultConfig, Metrics, Network, Node, NodeId, Topology,
-};
+use crate::{Activity, Context, Metrics, Network, Node, NodeId, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -146,27 +144,7 @@ impl Node<PushSumMsg> for PushSumNode {
 ///
 /// Panics if `values` is empty.
 pub fn push_sum_average(values: &[f64], rounds: usize, seed: u64) -> Vec<f64> {
-    push_sum_average_on(Topology::complete(values.len()), values, rounds, seed)
-}
-
-/// Runs push-sum on an arbitrary [`Topology`]: each round a node pushes
-/// half of its mass to a uniform member of `{self} ∪ neighbors`.
-///
-/// On connected topologies the estimates converge to the global average;
-/// sparse overlays (ring, grid, small world) trade per-round fan-out for
-/// more rounds, which is exactly the scenario comparison the experiments
-/// harness reports.
-///
-/// # Panics
-///
-/// Panics if `values` is empty or its length differs from `topology.n()`.
-pub fn push_sum_average_on(
-    topology: Topology,
-    values: &[f64],
-    rounds: usize,
-    seed: u64,
-) -> Vec<f64> {
-    push_sum_report_on(topology, values, rounds, seed).estimates
+    push_sum_report_on(Topology::complete(values.len()), values, rounds, seed).estimates
 }
 
 /// Report of [`push_sum_report_on`]: the per-node estimates plus the full
@@ -179,8 +157,15 @@ pub struct PushSumReport {
     pub metrics: Metrics,
 }
 
-/// [`push_sum_average_on`] with the run's [`Metrics`] attached — the
-/// variant the experiments harness prices overlay scenarios with.
+/// Runs push-sum on an arbitrary [`Topology`]: each round a node pushes
+/// half of its mass to a uniform member of `{self} ∪ neighbors`. Returns
+/// the estimates with the run's [`Metrics`], which the experiments harness
+/// prices overlay scenarios with.
+///
+/// On connected topologies the estimates converge to the global average;
+/// sparse overlays (ring, grid, small world) trade per-round fan-out for
+/// more rounds, which is exactly the scenario comparison the experiments
+/// harness reports.
 ///
 /// # Panics
 ///
@@ -197,14 +182,12 @@ pub fn push_sum_report_on(
         .enumerate()
         .map(|(i, &v)| PushSumNode::new(v, rounds, seed, i))
         .collect();
-    let mut net = Network::new(nodes)
-        .with_topology(topology)
-        .with_shards(recommended_shards(values.len()));
+    let mut net = Network::new(nodes).with_topology(topology);
     // Invariant: every node goes idle once `rounds_left` hits zero and the
     // engine delivers all in-flight mass within one extra round, so the
     // `rounds + 2` budget always suffices on a fault-free network.
     #[allow(clippy::expect_used)]
-    net.run_until_quiescent_parallel(rounds as u64 + 2)
+    net.run_until_quiescent(rounds as u64 + 2)
         // xtask:allow(unwrap-audit): the idle-once-done node design makes the budget sufficient by construction (see invariant above)
         .expect("push-sum quiesces after its round budget by construction");
     PushSumReport {
@@ -428,7 +411,7 @@ impl TopKCore {
     /// exhaustion bound can cut the bisection short on pathological score
     /// ranges (the tie scan then resolves a wider-than-minimal boundary),
     /// trading exactness for a smaller worst-case round budget — pair
-    /// with [`TopKNode::max_rounds_with`] when budgeting runs.
+    /// with [`TopKNode::max_rounds`] when budgeting runs.
     #[must_use]
     pub fn with_probe_limit(mut self, probe_limit: u32) -> Self {
         self.probe_limit = probe_limit.max(1);
@@ -715,20 +698,16 @@ impl TopKNode {
         self.core.decision()
     }
 
-    /// Upper bound on the rounds any node needs to decide, for `n` nodes:
-    /// the bounds phase, at most [`PROBE_LIMIT`] count phases, and the tie
-    /// scan. The adaptive termination finishes far earlier on real data;
-    /// this is the budget guard for
+    /// Upper bound on the rounds any node needs to decide, for `n` nodes
+    /// under the probe cap `probe_limit` ([`PROBE_LIMIT`] by default; see
+    /// [`TopKCore::with_probe_limit`]): the bounds phase, at most
+    /// `probe_limit` count phases, and the tie scan. The budget shrinks
+    /// linearly with the cap, which is what chaos scenarios tune when they
+    /// trade probe exactness for a tighter round budget. The adaptive
+    /// termination finishes far earlier on real data; this is the budget
+    /// guard for
     /// [`Network::run_until_quiescent`](crate::Network::run_until_quiescent).
-    pub fn max_rounds(n: usize) -> u64 {
-        Self::max_rounds_with(n, PROBE_LIMIT)
-    }
-
-    /// [`max_rounds`](Self::max_rounds) under a custom probe cap
-    /// ([`TopKCore::with_probe_limit`]): the budget shrinks linearly with
-    /// the cap, which is what chaos scenarios tune when they trade probe
-    /// exactness for a tighter round budget.
-    pub fn max_rounds_with(n: usize, probe_limit: u32) -> u64 {
+    pub fn max_rounds(n: usize, probe_limit: u32) -> u64 {
         let line = IdLine::new(n);
         (1 + u64::from(probe_limit.max(1))) * line.allreduce_rounds() + line.scan_rounds() + 2
     }
@@ -854,29 +833,7 @@ pub struct TopKReport {
 /// Panics if `scores` is empty, a score is not finite, or `k >
 /// scores.len()`.
 pub fn select_top_k(scores: &[f64], k: usize) -> TopKReport {
-    let nodes = topk_nodes(scores, k);
-    let net = Network::new(nodes).with_shards(recommended_shards(scores.len()));
-    run_topk(net, scores.len(), 0)
-}
-
-/// [`select_top_k`] with message fault injection.
-///
-/// The protocol always terminates and every node always decides: phases
-/// end after a fixed number of rounds whether or not their messages
-/// arrived, stale arrivals are counted and ignored (never merged into the
-/// wrong aggregate), and partial aggregates degrade accuracy, not
-/// progress. With a zero-fault config the result equals
-/// [`select_top_k`]'s.
-///
-/// # Panics
-///
-/// Panics if `scores` is empty, a score is not finite, or `k >
-/// scores.len()`.
-pub fn select_top_k_with_faults(scores: &[f64], k: usize, faults: FaultConfig) -> TopKReport {
-    let nodes = topk_nodes(scores, k);
-    let max_delay = faults.max_delay();
-    let net = Network::with_faults(nodes, faults).with_shards(recommended_shards(scores.len()));
-    run_topk(net, scores.len(), max_delay)
+    run_topk(Network::new(topk_nodes(scores, k)), 0)
 }
 
 fn topk_nodes(scores: &[f64], k: usize) -> Vec<TopKNode> {
@@ -885,15 +842,20 @@ fn topk_nodes(scores: &[f64], k: usize) -> Vec<TopKNode> {
     scores.iter().map(|&s| TopKNode::new(s, k, n)).collect()
 }
 
-fn run_topk(mut net: Network<TopKMsg, TopKNode>, n: usize, max_delay: u64) -> TopKReport {
+/// Runs a selection network to quiescence and collects its report. Under
+/// message faults the protocol still terminates and every node decides:
+/// phases end after a fixed number of rounds whether or not their
+/// messages arrived, stale arrivals are counted and ignored, and partial
+/// aggregates degrade accuracy, not progress.
+fn run_topk(mut net: Network<TopKMsg, TopKNode>, max_delay: u64) -> TopKReport {
     // The budget covers the probe-limit bound plus the fault model's
     // maximum delivery delay (a delayed final message stretches the run).
-    let budget = TopKNode::max_rounds(n) + max_delay + 2;
+    let budget = TopKNode::max_rounds(net.len(), PROBE_LIMIT) + max_delay + 2;
     // Invariant: every phase ends after a fixed number of rounds whether
     // or not messages arrive, so the probe-limit budget (plus the fault
     // model's maximum delay) bounds the run unconditionally.
     #[allow(clippy::expect_used)]
-    net.run_until_quiescent_parallel(budget)
+    net.run_until_quiescent(budget)
         // xtask:allow(unwrap-audit): fixed-length phases bound the run unconditionally (see invariant above)
         .expect("every node decides within the probe-limit budget");
     let rounds = net.metrics().rounds;
@@ -930,6 +892,7 @@ fn run_topk(mut net: Network<TopKMsg, TopKNode>, n: usize, max_delay: u64) -> To
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultConfig;
     use npd_numerics::vector::top_k_indices;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1087,7 +1050,7 @@ mod tests {
             report.rounds
         );
         assert!(report.probes > 0 && report.probes < 90, "{}", report.probes);
-        assert!(report.rounds <= TopKNode::max_rounds(33));
+        assert!(report.rounds <= TopKNode::max_rounds(33, PROBE_LIMIT));
         assert!(report.messages > 0);
         assert_eq!(report.stale_messages, 0);
     }
@@ -1124,7 +1087,7 @@ mod tests {
         let scores: Vec<f64> = (0..16).map(|i| ((i * 11) % 16) as f64).collect();
         let n = scores.len();
         let cap = 24u32;
-        assert!(TopKNode::max_rounds_with(n, cap) < TopKNode::max_rounds(n));
+        assert!(TopKNode::max_rounds(n, cap) < TopKNode::max_rounds(n, PROBE_LIMIT));
         let nodes: Vec<TopKNode> = scores
             .iter()
             .map(|&s| TopKNode {
@@ -1132,7 +1095,7 @@ mod tests {
             })
             .collect();
         let mut net = Network::new(nodes);
-        net.run_until_quiescent(TopKNode::max_rounds_with(n, cap))
+        net.run_until_quiescent(TopKNode::max_rounds(n, cap))
             .unwrap();
         let expected = top_k_indices(&scores, 5);
         for (i, node) in net.nodes().iter().enumerate() {
@@ -1168,20 +1131,22 @@ mod tests {
         let mut saw_stale = false;
         for seed in 0..6 {
             let faults = FaultConfig::new(0.0, 0.3, seed).unwrap().with_max_delay(2);
-            let report = select_top_k_with_faults(&scores, 6, faults);
+            let net = Network::new(topk_nodes(&scores, 6)).with_faults(faults);
+            let report = run_topk(net, faults.max_delay());
             assert_eq!(report.selected.len(), 24, "seed={seed}");
             saw_stale |= report.stale_messages > 0;
         }
         assert!(saw_stale, "no run produced a stale (out-of-phase) arrival");
     }
 
-    /// With a zero-fault config the faulted entry point is bit-identical
-    /// to the fault-free one.
+    /// With a zero-fault config the faulted run is bit-identical to the
+    /// fault-free one.
     #[test]
     fn zero_fault_config_matches_fault_free() {
         let scores: Vec<f64> = (0..19).map(|i| ((i * 7) % 13) as f64).collect();
         let clean = select_top_k(&scores, 5);
-        let faulted = select_top_k_with_faults(&scores, 5, FaultConfig::new(0.0, 0.0, 1).unwrap());
+        let zero = FaultConfig::new(0.0, 0.0, 1).unwrap();
+        let faulted = run_topk(Network::new(topk_nodes(&scores, 5)).with_faults(zero), 0);
         assert_eq!(clean, faulted);
     }
 
@@ -1191,7 +1156,6 @@ mod tests {
         // message delay only slows mixing: mass stays conserved and the
         // estimates still converge. (Contrast with the fixed-timetable
         // top-k selection, which requires the synchronous model.)
-        use crate::FaultConfig;
         let values = [1.0, 5.0, -3.0, 9.0, 2.0, -6.0, 4.0, 0.0];
         let avg = values.iter().sum::<f64>() / values.len() as f64;
         let nodes: Vec<PushSumNode> = values
@@ -1200,7 +1164,7 @@ mod tests {
             .map(|(i, &v)| PushSumNode::new(v, 100, 11, i))
             .collect();
         let faults = FaultConfig::new(0.0, 0.0, 23).unwrap().with_max_delay(2);
-        let mut net = Network::with_faults(nodes, faults);
+        let mut net = Network::new(nodes).with_faults(faults);
         net.run_until_quiescent(200).unwrap();
         assert!(net.metrics().messages_delayed > 0);
         let total_mass: f64 = net.nodes().iter().map(|n| n.s).sum();
@@ -1259,9 +1223,10 @@ mod tests {
                 let faults = FaultConfig::new(drop_p, dup_p, seed)
                     .unwrap()
                     .with_max_delay(max_delay);
-                let report = select_top_k_with_faults(&scores, k, faults);
+                let net = Network::new(topk_nodes(&scores, k)).with_faults(faults);
+                let report = run_topk(net, max_delay);
                 prop_assert_eq!(report.selected.len(), n);
-                prop_assert!(report.rounds <= TopKNode::max_rounds(n) + 64);
+                prop_assert!(report.rounds <= TopKNode::max_rounds(n, PROBE_LIMIT) + 64);
             }
 
             /// Push-sum conserves total mass for any value vector and

@@ -11,10 +11,11 @@
 //! * [`Network`] — a collection of nodes plus in-flight mailboxes, advanced
 //!   round by round with classic synchronous semantics: everything sent in
 //!   round `r` is delivered at the start of round `r + 1`. Nodes are
-//!   partitioned into contiguous *shards*; [`Network::step_parallel`] steps
-//!   the shards on the rayon pool, and deliveries are compacted into a
+//!   partitioned into contiguous *shards*; [`Network::step`] steps the
+//!   shards on the rayon pool, and deliveries are compacted into a
 //!   CSR-style per-shard arena (offset table + envelope slab, buffers
-//!   reused across rounds).
+//!   reused across rounds). [`Network::new`] plus the `with_*` builders is
+//!   the only way to build one.
 //! * [`Topology`] — who may talk to whom: complete (the default),
 //!   ring, grid, random `d`-regular, or Watts–Strogatz small world, with
 //!   optional per-link [`LinkFaults`] overrides.
@@ -57,7 +58,8 @@
 //!
 //! # Examples
 //!
-//! A two-node ping-pong:
+//! A two-node ping-pong, split into two shards (the run is the same for
+//! any shard or thread count):
 //!
 //! ```
 //! use npd_netsim::{Activity, Context, Network, Node, NodeId};
@@ -81,33 +83,11 @@
 //!     }
 //! }
 //!
-//! let mut net = Network::new(vec![PingPong { hits: 0 }, PingPong { hits: 0 }]);
+//! let nodes = vec![PingPong { hits: 0 }, PingPong { hits: 0 }];
+//! let mut net = Network::new(nodes).with_shards(2);
 //! let report = net.run_until_quiescent(100).unwrap();
 //! assert_eq!(report.rounds, 5);
 //! assert_eq!(net.metrics().messages_sent, 4);
-//! ```
-//!
-//! The same protocol sharded and stepped in parallel is bit-identical:
-//!
-//! ```
-//! use npd_netsim::{Network, Topology};
-//! # use npd_netsim::{Activity, Context, Node, NodeId};
-//! # struct PingPong { hits: u32 }
-//! # impl Node<u32> for PingPong {
-//! #     fn on_round(&mut self, ctx: &mut Context<'_, u32>) -> Activity {
-//! #         if ctx.round() == 0 && ctx.id() == NodeId(0) { ctx.send(NodeId(1), 1); }
-//! #         let inbox: Vec<u32> = ctx.inbox().iter().map(|e| e.payload).collect();
-//! #         for v in inbox {
-//! #             self.hits += 1;
-//! #             if v < 4 { ctx.send(NodeId(1 - ctx.id().0), v + 1); }
-//! #         }
-//! #         Activity::Idle
-//! #     }
-//! # }
-//! let nodes = vec![PingPong { hits: 0 }, PingPong { hits: 0 }];
-//! let mut net = Network::new(nodes).with_shards(2);
-//! let report = net.run_until_quiescent_parallel(100).unwrap();
-//! assert_eq!(report.rounds, 5);
 //! ```
 
 #![deny(missing_docs)]
@@ -129,7 +109,7 @@ mod topology;
 
 pub use faults::{FaultConfig, InvalidFaultConfig, NodeFaultPlan, ReliableConfig};
 pub use metrics::{Metrics, NodeTraffic};
-pub use network::{recommended_shards, Context, Network, RunReport, StepReport};
+pub use network::{Context, Network, RunReport, StepReport};
 pub use topology::{LinkFaults, Topology};
 
 use std::fmt;

@@ -12,9 +12,9 @@
 //!    by `(sender, send-seq)`; all buffers are reused across rounds.
 //! 2. **Node step** — every shard steps its nodes in id order. Shards are
 //!    independent (each reads the shared arena and writes its own
-//!    outboxes), so [`step_parallel`](Network::step_parallel) runs them on
-//!    the rayon pool; [`step`](Network::step) runs them inline. Both
-//!    produce bit-identical results for any shard count.
+//!    outboxes), so [`step`](Network::step) runs them on the rayon pool,
+//!    inline when the pool has one thread or the network one shard. The
+//!    result is bit-identical for any shard or thread count.
 //! 3. **Routing** — each shard's outbox drains, in shard order, into
 //!    per-destination-shard staging buffers. Fault gates apply here: every
 //!    decision is a pure function of the fault seed and the *message
@@ -36,7 +36,7 @@
 //! retransmits lost reliable messages with exponential backoff — see the
 //! [`crate::faults`] module docs for the full model.
 
-use crate::faults::splitmix64;
+use crate::faults::{down_in, splitmix64};
 use crate::metrics::NodeTraffic;
 use crate::topology::{LinkFaults, Topology};
 use crate::{
@@ -71,6 +71,10 @@ pub(crate) struct MsgKey {
 /// A keyed message moving through the routing pipeline.
 type Staged<M> = (MsgKey, Envelope<M>);
 
+/// A keyed message held back until its due round (delay faults and
+/// scheduled retransmissions).
+type Pending<M> = (u64, MsgKey, Envelope<M>);
+
 /// Per-round view handed to [`Node::on_round`]: the inbox, the clock, the
 /// node's own id, the topology, and the send interface.
 #[derive(Debug)]
@@ -88,30 +92,7 @@ pub struct Context<'a, M> {
     next_seq: u64,
 }
 
-impl<'a, M> Context<'a, M> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        round: u64,
-        id: NodeId,
-        node_count: usize,
-        inbox: &'a [Envelope<M>],
-        outbox: &'a mut [Vec<Staged<M>>],
-        shard_size: usize,
-        topology: &'a Topology,
-        next_seq: u64,
-    ) -> Self {
-        Self {
-            round,
-            id,
-            node_count,
-            inbox,
-            outbox,
-            shard_size,
-            topology,
-            next_seq,
-        }
-    }
-
+impl<M> Context<'_, M> {
     /// Current round number (starting at 0).
     pub fn round(&self) -> u64 {
         self.round
@@ -209,13 +190,15 @@ impl<'a, M> Context<'a, M> {
 }
 
 /// A synchronous network of homogeneous nodes exchanging messages of type
-/// `M`, partitioned into shards for parallel stepping.
+/// `M`, partitioned into shards that are stepped on the rayon pool.
 ///
-/// Semantics: [`step`](Self::step) runs one round. Nodes are stepped in id
-/// order *per shard*; every message sent during round `r` is delivered at
-/// the start of round `r + 1`, ordered by `(sender, send-seq)`. The output
-/// is bit-identical for any shard count and for sequential vs parallel
-/// stepping (pinned by `tests/determinism.rs` in the workspace root).
+/// Build one with [`new`](Self::new) and the `with_*` builders; run it
+/// with [`step`](Self::step) (one round) or
+/// [`run_until_quiescent`](Self::run_until_quiescent). Nodes are stepped
+/// in id order *per shard*; every message sent during round `r` is
+/// delivered at the start of round `r + 1`, ordered by
+/// `(sender, send-seq)`. The output is bit-identical for any shard and
+/// thread count (pinned by `tests/determinism.rs` in the workspace root).
 #[derive(Debug)]
 pub struct Network<M, N> {
     nodes: Vec<N>,
@@ -227,7 +210,9 @@ pub struct Network<M, N> {
     traffic: Vec<NodeTraffic>,
     /// Per-node cumulative send counter (the `seq` of the next send).
     send_seq: Vec<u64>,
-    faults: Option<FaultState<M>>,
+    /// Message-fault model. Fault *decisions* carry no state at all: they
+    /// are pure functions of `(seed, message identity)`.
+    faults: Option<FaultConfig>,
     /// Agent-level fault schedule (crashes, stragglers, corruptors).
     node_faults: Option<NodeFaultState<M>>,
     /// Reliable-delivery (retransmission) configuration.
@@ -235,7 +220,7 @@ pub struct Network<M, N> {
     /// Scheduled retransmissions: `(due_round, key, envelope)`. Entry
     /// *order* is shard-dependent; only the set matters, because staging
     /// is re-sorted whenever retransmissions were injected.
-    retrans: Vec<(u64, MsgKey, Envelope<M>)>,
+    retrans: Vec<Pending<M>>,
     /// Whether the last routing phase staged out-of-key-order traffic
     /// (retransmissions), forcing a sort in the next arena build.
     resort: bool,
@@ -245,7 +230,7 @@ pub struct Network<M, N> {
     /// sorted by [`MsgKey`].
     staging: Vec<Vec<Staged<M>>>,
     /// `delayed[dst]`: delay-faulted messages tagged with their due round.
-    delayed: Vec<Vec<(u64, MsgKey, Envelope<M>)>>,
+    delayed: Vec<Vec<Pending<M>>>,
     /// `slabs[dst]`: the delivery arena — envelopes grouped by destination
     /// node, each segment sorted by key.
     slabs: Vec<Vec<Envelope<M>>>,
@@ -260,17 +245,6 @@ pub struct Network<M, N> {
     /// record only shard-count-invariant quantities, so the recorded
     /// stream is bit-identical across shard and thread counts.
     sink: TelemetrySink,
-}
-
-/// Fault-injection state. The clone function pointer is captured in
-/// [`Network::with_faults`], where the `M: Clone` bound is available; this
-/// keeps fault-free networks free of any `Clone` requirement. Fault
-/// *decisions* carry no state at all: they are pure functions of
-/// `(seed, message identity)`.
-#[derive(Debug)]
-struct FaultState<M> {
-    cfg: FaultConfig,
-    cloner: fn(&M) -> M,
 }
 
 /// Agent-level fault state: the declarative plan plus per-node schedules
@@ -291,15 +265,6 @@ struct NodeFaultState<M> {
     /// `on_restart` callbacks.
     events: Vec<(u64, u32, bool)>,
     next_event: usize,
-}
-
-impl<M> NodeFaultState<M> {
-    fn down_at(&self, node: usize, round: u64) -> bool {
-        match self.spans[node] {
-            Some((crash, restart)) => round >= crash && restart.is_none_or(|r| round < r),
-            None => false,
-        }
-    }
 }
 
 /// Outcome of a single [`Network::step`].
@@ -324,11 +289,12 @@ pub struct RunReport {
     pub delivered: u64,
 }
 
-/// Recommended shard count for an `n`-node network: one shard per rayon
-/// worker, floored so a shard never becomes trivially small (≥ 64 nodes).
-/// The result of a run is bit-identical for every shard count — this only
-/// sets how much parallelism [`Network::step_parallel`] can exploit.
-pub fn recommended_shards(n: usize) -> usize {
+/// Default shard count of an `n`-node network ([`Network::new`]): one
+/// shard per rayon worker, floored so a shard never becomes trivially
+/// small (≥ 64 nodes). The result of a run is bit-identical for every
+/// shard count — this only sets how much parallelism [`Network::step`] can
+/// exploit.
+fn recommended_shards(n: usize) -> usize {
     rayon::current_num_threads().clamp(1, (n / 64).max(1))
 }
 
@@ -349,18 +315,32 @@ fn message_rng(seed: u64, key: MsgKey) -> SmallRng {
     SmallRng::seed_from_u64(mixed)
 }
 
-/// Mutable routing-phase view: staging/delayed/retransmission sinks plus
-/// metrics.
-struct RouteSinks<'a, M> {
-    staging: &'a mut [Vec<Staged<M>>],
-    delayed: &'a mut [Vec<(u64, MsgKey, Envelope<M>)>],
-    retrans: &'a mut Vec<(u64, MsgKey, Envelope<M>)>,
-    metrics: &'a mut Metrics,
+/// Schedules the retransmission of a lost copy: only when the reliability
+/// layer is on, the copy is a reliable original (duplicates are
+/// best-effort bonus traffic and never retransmitted) and its retry budget
+/// is not spent. The resend is due after the backoff of its attempt.
+fn retransmit<M>(
+    retrans: &mut Vec<Pending<M>>,
+    reliable: Option<ReliableConfig>,
+    round: u64,
+    key: MsgKey,
+    env: Envelope<M>,
+) {
+    let Some(rc) = reliable else { return };
+    let attempt = key.copy >> 1;
+    if key.reliable && key.copy & 1 == 0 && attempt < rc.max_retries() {
+        let next = MsgKey {
+            copy: key.copy + 2,
+            ..key
+        };
+        retrans.push((round + rc.backoff(attempt), next, env));
+    }
 }
 
-impl<M, N: Node<M>> Network<M, N> {
-    /// Creates a single-shard network over the given nodes on the complete
-    /// topology with no fault injection.
+impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
+    /// Creates a network over the given nodes on the complete topology
+    /// with no fault injection, split into one shard per rayon worker
+    /// (at least 64 nodes per shard; see [`with_shards`](Self::with_shards)).
     ///
     /// # Panics
     ///
@@ -371,11 +351,11 @@ impl<M, N: Node<M>> Network<M, N> {
             count <= u32::MAX as usize,
             "Network: node count {count} exceeds u32 id space"
         );
-        let mut net = Self {
+        let net = Self {
             nodes,
             topology: Topology::complete(count),
             shards: 1,
-            shard_size: count.max(1),
+            shard_size: 1,
             round: 0,
             metrics: Metrics::default(),
             traffic: vec![NodeTraffic::default(); count],
@@ -394,40 +374,21 @@ impl<M, N: Node<M>> Network<M, N> {
             perm: Vec::new(),
             sink: TelemetrySink::default(),
         };
-        net.resize_shard_buffers();
-        net
+        net.with_shards(recommended_shards(count))
     }
 
-    /// Creates a network with message fault injection (the uniform link
-    /// model; see [`Network::with_link_model`] for per-link overrides).
-    ///
-    /// Requires `M: Clone` because duplication faults must copy payloads;
-    /// [`Network::new`] has no such requirement.
-    pub fn with_faults(nodes: Vec<N>, faults: FaultConfig) -> Self
-    where
-        M: Clone,
-    {
-        let mut net = Self::new(nodes);
-        net.faults = Some(FaultState {
-            cfg: faults,
-            cloner: |m| m.clone(),
-        });
-        net
-    }
-
-    /// Creates a network on `topology` with the general link fault model:
-    /// `faults` is the default profile of every link, and the topology's
-    /// [`Topology::with_link_faults`] overrides apply per link. The
-    /// `faults` seed drives every per-message decision.
+    /// Injects message faults: `faults` is the default profile of every
+    /// link (the topology's [`Topology::with_link_faults`] overrides apply
+    /// per link), and its seed drives every per-message decision.
     ///
     /// # Panics
     ///
-    /// Panics if `topology.n()` differs from the node count.
-    pub fn with_link_model(nodes: Vec<N>, topology: Topology, faults: FaultConfig) -> Self
-    where
-        M: Clone,
-    {
-        Self::with_faults(nodes, faults).with_topology(topology)
+    /// Panics if the network has already executed a round.
+    #[must_use]
+    pub fn with_faults(mut self, faults: FaultConfig) -> Self {
+        assert_eq!(self.round, 0, "with_faults: network already started");
+        self.faults = Some(faults);
+        self
     }
 
     /// Attaches an agent-level fault plan: fail-stop crashes (with
@@ -519,10 +480,10 @@ impl<M, N: Node<M>> Network<M, N> {
         self
     }
 
-    /// Partitions the nodes into `shards` contiguous shards (default: 1).
-    /// The result of a run is bit-identical for every shard count; shards
-    /// only control how much parallelism
-    /// [`step_parallel`](Self::step_parallel) can exploit.
+    /// Partitions the nodes into `shards` contiguous shards (default: one
+    /// per rayon worker, at least 64 nodes each). The result of a run is
+    /// bit-identical for every shard count; shards only control how much
+    /// parallelism [`step`](Self::step) can exploit.
     ///
     /// # Panics
     ///
@@ -688,27 +649,9 @@ impl<M, N: Node<M>> Network<M, N> {
         }
     }
 
-    /// Executes one round with all shards stepped inline on the calling
-    /// thread. Bit-identical to [`step_parallel`](Self::step_parallel).
-    pub fn step(&mut self) -> StepReport {
-        let before = self.begin_round();
-        self.apply_node_events();
-        let delivered = self.build_arena();
-        let active_nodes = {
-            let (mut runs, env) = self.shard_runs();
-            let mut active = 0usize;
-            for run in &mut runs {
-                active += env.run_shard(run);
-            }
-            active
-        };
-        let sent = self.route();
-        self.finish_step(before, delivered, sent, active_nodes)
-    }
-
-    /// Executes one round with shards stepped in parallel on the rayon
-    /// pool. Bit-identical to [`step`](Self::step) for any shard or
-    /// thread count.
+    /// Executes one round with the shards stepped on the rayon pool (inline
+    /// when the pool has one thread or the network one shard). The result
+    /// is bit-identical for any shard or thread count.
     ///
     /// # Examples
     ///
@@ -730,18 +673,19 @@ impl<M, N: Node<M>> Network<M, N> {
     /// }
     ///
     /// let mut net = Network::new(vec![Ring, Ring, Ring, Ring]).with_shards(2);
-    /// let first = net.step_parallel();
+    /// let first = net.step();
     /// assert_eq!(first.round, 0);
     /// assert_eq!(first.sent, 4); // every node pinged its successor
-    /// let second = net.step_parallel();
+    /// let second = net.step();
     /// assert_eq!(second.delivered, 4); // round-0 traffic arrives in round 1
     /// ```
-    pub fn step_parallel(&mut self) -> StepReport
-    where
-        M: Send + Sync,
-        N: Send,
-    {
-        let before = self.begin_round();
+    pub fn step(&mut self) -> StepReport {
+        // Open the round's telemetry span and snapshot the metrics so
+        // `finish_step` can report per-round deltas.
+        let round = self.round;
+        self.sink
+            .emit(|| Event::begin("round").phase("netsim").round(round));
+        let before = self.metrics;
         self.apply_node_events();
         let delivered = self.build_arena();
         let active_nodes = {
@@ -755,16 +699,6 @@ impl<M, N: Node<M>> Network<M, N> {
         };
         let sent = self.route();
         self.finish_step(before, delivered, sent, active_nodes)
-    }
-
-    /// Opens the round's telemetry span and snapshots the metrics so
-    /// [`finish_step`](Self::finish_step) can report per-round deltas.
-    /// Serial by construction (called before any shard work starts).
-    fn begin_round(&mut self) -> Metrics {
-        let round = self.round;
-        self.sink
-            .emit(|| Event::begin("round").phase("netsim").round(round));
-        self.metrics
     }
 
     fn finish_step(
@@ -844,29 +778,13 @@ impl<M, N: Node<M>> Network<M, N> {
             // message is reliable and budget remains).
             if let Some(nf) = &self.node_faults {
                 let round = self.round;
-                let reliable = self.reliable;
                 let before = buf.len();
                 let mut i = 0usize;
                 while i < buf.len() {
-                    if nf.down_at(buf[i].1.to.0, round) {
+                    if down_in(nf.spans[buf[i].1.to.0], round) {
                         let (key, env) = buf.swap_remove(i);
                         self.metrics.messages_lost_to_crash += 1;
-                        if let Some(rc) = reliable {
-                            if key.reliable
-                                && key.copy & 1 == 0
-                                && (key.copy >> 1) < rc.max_retries()
-                            {
-                                let due = round + rc.backoff(key.copy >> 1);
-                                self.retrans.push((
-                                    due,
-                                    MsgKey {
-                                        copy: key.copy + 2,
-                                        ..key
-                                    },
-                                    env,
-                                ));
-                            }
-                        }
+                        retransmit(&mut self.retrans, self.reliable, round, key, env);
                     } else {
                         i += 1;
                     }
@@ -994,7 +912,6 @@ impl<M, N: Node<M>> Network<M, N> {
     /// Returns the number of messages sent (before fault filtering).
     fn route(&mut self) -> usize {
         let mut sent = 0usize;
-        let shard_size = self.shard_size;
         let gated = self.faults.is_some() || self.node_faults.is_some() || !self.retrans.is_empty();
         if !gated {
             for src in 0..self.shards {
@@ -1005,26 +922,20 @@ impl<M, N: Node<M>> Network<M, N> {
                 }
             }
         } else {
-            let (default_profile, seed, cloner) = match &self.faults {
-                Some(state) => (
-                    state.cfg.link_faults(),
-                    state.cfg.seed(),
-                    Some(state.cloner),
-                ),
+            let (default_profile, seed) = match self.faults {
+                Some(cfg) => (cfg.link_faults(), cfg.seed()),
                 // Node-fault-only network: links are perfectly reliable,
                 // the node plan's seed drives any per-link overrides.
                 None => (
                     LinkFaults::RELIABLE,
                     self.node_faults.as_ref().map_or(0, |nf| nf.plan.seed()),
-                    None,
                 ),
             };
             let round = self.round;
-            let reliable_cfg = self.reliable;
-            // Due retransmissions are extracted before the sinks borrow:
+            // Due retransmissions are extracted before the router borrows:
             // reschedules (a retransmission lost again) push fresh entries
             // with due > round, so the set drained here is final.
-            let mut due: Vec<(MsgKey, Envelope<M>)> = Vec::new();
+            let mut due: Vec<Staged<M>> = Vec::new();
             let mut i = 0usize;
             while i < self.retrans.len() {
                 if self.retrans[i].0 <= round {
@@ -1034,7 +945,14 @@ impl<M, N: Node<M>> Network<M, N> {
                     i += 1;
                 }
             }
-            let mut sinks = RouteSinks {
+            let mut router = Router {
+                topology: &self.topology,
+                node_faults: self.node_faults.as_ref(),
+                default_profile,
+                seed,
+                reliable: self.reliable,
+                round,
+                shard_size: self.shard_size,
                 staging: &mut self.staging,
                 delayed: &mut self.delayed,
                 retrans: &mut self.retrans,
@@ -1042,24 +960,11 @@ impl<M, N: Node<M>> Network<M, N> {
             };
             for src in 0..self.shards {
                 for dst in 0..self.shards {
-                    let mut buf = std::mem::take(&mut self.outboxes[src][dst]);
+                    let buf = &mut self.outboxes[src][dst];
                     sent += buf.len();
                     for (key, env) in buf.drain(..) {
-                        route_one(
-                            &mut sinks,
-                            &self.topology,
-                            self.node_faults.as_ref(),
-                            default_profile,
-                            seed,
-                            cloner,
-                            reliable_cfg,
-                            round,
-                            shard_size,
-                            key,
-                            env,
-                        );
+                        router.route(key, env);
                     }
-                    self.outboxes[src][dst] = buf;
                 }
             }
             // Retransmissions: counted as fresh sends, injected through
@@ -1068,21 +973,9 @@ impl<M, N: Node<M>> Network<M, N> {
             if !due.is_empty() {
                 self.resort = true;
                 sent += due.len();
-                sinks.metrics.messages_retransmitted += due.len() as u64;
+                router.metrics.messages_retransmitted += due.len() as u64;
                 for (key, env) in due {
-                    route_one(
-                        &mut sinks,
-                        &self.topology,
-                        self.node_faults.as_ref(),
-                        default_profile,
-                        seed,
-                        cloner,
-                        reliable_cfg,
-                        round,
-                        shard_size,
-                        key,
-                        env,
-                    );
+                    router.route(key, env);
                 }
             }
         }
@@ -1091,10 +984,8 @@ impl<M, N: Node<M>> Network<M, N> {
         sent
     }
 
-    /// Runs rounds until the network quiesces: no messages in flight or
-    /// delayed and all nodes idle. All shards are stepped inline; see
-    /// [`run_until_quiescent_parallel`](Self::run_until_quiescent_parallel)
-    /// for the multicore variant.
+    /// Runs rounds until the network quiesces: no messages in flight,
+    /// delayed or awaiting retransmission, and all nodes idle.
     ///
     /// At least one round is always executed, so protocols that initiate
     /// work in round 0 make progress.
@@ -1104,32 +995,6 @@ impl<M, N: Node<M>> Network<M, N> {
     /// Returns [`MaxRoundsExceeded`] if quiescence is not reached within
     /// `max_rounds` rounds (counted within this call).
     pub fn run_until_quiescent(&mut self, max_rounds: u64) -> Result<RunReport, MaxRoundsExceeded> {
-        self.run_inner(max_rounds, Self::step)
-    }
-
-    /// [`run_until_quiescent`](Self::run_until_quiescent) with shards
-    /// stepped on the rayon pool; bit-identical results.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MaxRoundsExceeded`] if quiescence is not reached within
-    /// `max_rounds` rounds.
-    pub fn run_until_quiescent_parallel(
-        &mut self,
-        max_rounds: u64,
-    ) -> Result<RunReport, MaxRoundsExceeded>
-    where
-        M: Send + Sync,
-        N: Send,
-    {
-        self.run_inner(max_rounds, Self::step_parallel)
-    }
-
-    fn run_inner(
-        &mut self,
-        max_rounds: u64,
-        mut step: impl FnMut(&mut Self) -> StepReport,
-    ) -> Result<RunReport, MaxRoundsExceeded> {
         let mut rounds = 0u64;
         let mut delivered = 0u64;
         loop {
@@ -1139,7 +1004,7 @@ impl<M, N: Node<M>> Network<M, N> {
                     in_flight: self.in_flight() + self.delayed() + self.retrans.len(),
                 });
             }
-            let report = step(self);
+            let report = self.step();
             rounds += 1;
             delivered += report.delivered as u64;
             if self.in_flight() == 0
@@ -1177,13 +1042,9 @@ struct StepEnv<'a> {
 impl StepEnv<'_> {
     /// Whether the node is crashed (and not yet restarted) this round.
     fn down(&self, node: usize) -> bool {
-        if self.crash_spans.is_empty() {
-            return false;
-        }
-        match self.crash_spans[node] {
-            Some((crash, restart)) => self.round >= crash && restart.is_none_or(|r| self.round < r),
-            None => false,
-        }
+        self.crash_spans
+            .get(node)
+            .is_some_and(|&span| down_in(span, self.round))
     }
 
     /// Steps one shard's nodes in id order; returns its active-node count.
@@ -1196,18 +1057,17 @@ impl StepEnv<'_> {
                 continue;
             }
             let (start, end) = run.ranges[i];
-            let inbox = &run.slab[start..end];
             let seq_before = run.send_seq[i];
-            let mut ctx = Context::new(
-                self.round,
-                NodeId(run.start + i),
-                self.node_count,
-                inbox,
-                run.outbox,
-                self.shard_size,
-                self.topology,
-                seq_before,
-            );
+            let mut ctx = Context {
+                round: self.round,
+                id: NodeId(run.start + i),
+                node_count: self.node_count,
+                inbox: &run.slab[start..end],
+                outbox: run.outbox,
+                shard_size: self.shard_size,
+                topology: self.topology,
+                next_seq: seq_before,
+            };
             if node.on_round(&mut ctx) == Activity::Active {
                 active += 1;
             }
@@ -1222,154 +1082,111 @@ impl StepEnv<'_> {
     }
 }
 
-/// Routes one outbound message copy through corruption, duplication,
-/// drop, and delay gates.
-#[allow(clippy::too_many_arguments)]
-fn route_one<M>(
-    sinks: &mut RouteSinks<'_, M>,
-    topology: &Topology,
-    node_faults: Option<&NodeFaultState<M>>,
+/// The routing phase of one round: the gate constants of the round plus
+/// the staging, delay and retransmission sinks the gates write to.
+struct Router<'a, M> {
+    topology: &'a Topology,
+    node_faults: Option<&'a NodeFaultState<M>>,
+    /// Profile of every link the topology does not override.
     default_profile: LinkFaults,
     seed: u64,
-    cloner: Option<fn(&M) -> M>,
-    reliable_cfg: Option<ReliableConfig>,
+    reliable: Option<ReliableConfig>,
     round: u64,
     shard_size: usize,
-    key: MsgKey,
-    mut env: Envelope<M>,
-) {
-    let profile = topology
-        .link_faults(env.from, env.to)
-        .copied()
-        .unwrap_or(default_profile);
-    let straggler = node_faults.map_or(0, |nf| nf.straggler[env.from.0]);
-    // Corruption garbles the node's original emission (copy 0) only:
-    // duplicates below clone the already-garbled payload, and
-    // retransmissions resend the payload exactly as first transmitted.
-    if key.copy == 0 {
-        if let Some(nf) = node_faults {
-            if let Some(garble) = nf.corrupt {
-                if nf.plan.corrupts_message(key.from, key.seq) {
-                    garble(
-                        &mut env.payload,
-                        nf.plan.corruption_entropy(key.from, key.seq),
-                    );
-                    sinks.metrics.messages_corrupted += 1;
+    staging: &'a mut [Vec<Staged<M>>],
+    delayed: &'a mut [Vec<Pending<M>>],
+    retrans: &'a mut Vec<Pending<M>>,
+    metrics: &'a mut Metrics,
+}
+
+impl<M: Clone> Router<'_, M> {
+    /// Routes one outbound message copy through corruption, duplication,
+    /// drop, and delay gates.
+    fn route(&mut self, key: MsgKey, mut env: Envelope<M>) {
+        let profile = self
+            .topology
+            .link_faults(env.from, env.to)
+            .copied()
+            .unwrap_or(self.default_profile);
+        let straggler = self.node_faults.map_or(0, |nf| nf.straggler[env.from.0]);
+        // Corruption garbles the node's original emission (copy 0) only:
+        // duplicates below clone the already-garbled payload, and
+        // retransmissions resend the payload exactly as first transmitted.
+        if key.copy == 0 {
+            if let Some(nf) = self.node_faults {
+                if let Some(garble) = nf.corrupt {
+                    if nf.plan.corrupts_message(key.from, key.seq) {
+                        garble(
+                            &mut env.payload,
+                            nf.plan.corruption_entropy(key.from, key.seq),
+                        );
+                        self.metrics.messages_corrupted += 1;
+                    }
                 }
             }
         }
-    }
-    // Reliable links with a punctual sender skip the gate machinery
-    // entirely — behavior-identical, since every decision is a pure
-    // per-message function with zero probabilities.
-    if profile.is_reliable() && straggler == 0 {
-        sinks.staging[env.to.0 / shard_size].push((key, env));
-        return;
-    }
-    // The duplicate is decided first, from the original's RNG, so it
-    // exists independently of the original's drop/delay fate; both copies
-    // then pass the gates independently.
-    let mut rng = message_rng(seed, key);
-    let dup_draw = rng.gen::<f64>();
-    let copy = if dup_draw < profile.dup_prob {
-        // Invariant: duplication faults are only reachable through
-        // `with_faults`/`with_link_model`, both of which capture a cloner.
-        #[allow(clippy::expect_used)]
-        // xtask:allow(unwrap-audit): duplication faults are only reachable through with_faults/with_link_model, which both capture a cloner
-        let cloner = cloner.expect("duplication faults require a payload cloner (with_faults)");
-        sinks.metrics.messages_duplicated += 1;
-        Some((
-            MsgKey {
+        // Reliable links with a punctual sender skip the gate machinery
+        // entirely — behavior-identical, since every decision is a pure
+        // per-message function with zero probabilities.
+        if profile.is_reliable() && straggler == 0 {
+            self.staging[env.to.0 / self.shard_size].push((key, env));
+            return;
+        }
+        // The duplicate is decided first, from the original's RNG, so it
+        // exists independently of the original's drop/delay fate; both copies
+        // then pass the gates independently.
+        let mut rng = message_rng(self.seed, key);
+        let dup_draw = rng.gen::<f64>();
+        let copy = (dup_draw < profile.dup_prob).then(|| {
+            self.metrics.messages_duplicated += 1;
+            let ckey = MsgKey {
                 copy: key.copy | 1,
                 ..key
-            },
-            Envelope {
-                from: env.from,
-                to: env.to,
-                payload: cloner(&env.payload),
-            },
-        ))
-    } else {
-        None
-    };
-    gate_copy(
-        sinks,
-        rng,
-        &profile,
-        straggler,
-        reliable_cfg,
-        round,
-        shard_size,
-        key,
-        env,
-    );
-    if let Some((ckey, cenv)) = copy {
-        let mut crng = message_rng(seed, ckey);
-        let _ = crng.gen::<f64>(); // dup slot, unused on copies
-        gate_copy(
-            sinks,
-            crng,
-            &profile,
-            straggler,
-            reliable_cfg,
-            round,
-            shard_size,
-            ckey,
-            cenv,
-        );
-    }
-}
-
-/// Applies drop and delay gates to one message copy and stages it. A
-/// dropped reliable original schedules a retransmission (duplicate copies
-/// are best-effort bonus traffic and never retransmitted).
-#[allow(clippy::too_many_arguments)]
-fn gate_copy<M>(
-    sinks: &mut RouteSinks<'_, M>,
-    mut rng: SmallRng,
-    profile: &LinkFaults,
-    straggler_extra: u64,
-    reliable_cfg: Option<ReliableConfig>,
-    round: u64,
-    shard_size: usize,
-    key: MsgKey,
-    env: Envelope<M>,
-) {
-    // Both gate draws happen unconditionally, before the data-dependent
-    // drop return below, so the per-message stream consumes a fixed number
-    // of variates regardless of the drop outcome. Surviving copies see the
-    // same (drop, delay) values in the same order as before; dropped
-    // copies burn one extra variate from an rng that is discarded here.
-    let drop_draw = rng.gen::<f64>();
-    let delay_draw = if profile.max_delay > 0 {
-        rng.gen_range(0..=profile.max_delay)
-    } else {
-        0
-    };
-    if drop_draw < profile.drop_prob {
-        sinks.metrics.messages_dropped += 1;
-        if let Some(rc) = reliable_cfg {
-            if key.reliable && key.copy & 1 == 0 && (key.copy >> 1) < rc.max_retries() {
-                let due = round + rc.backoff(key.copy >> 1);
-                sinks.retrans.push((
-                    due,
-                    MsgKey {
-                        copy: key.copy + 2,
-                        ..key
-                    },
-                    env,
-                ));
-            }
+            };
+            (ckey, env.clone())
+        });
+        self.gate(rng, &profile, straggler, key, env);
+        if let Some((ckey, cenv)) = copy {
+            let mut crng = message_rng(self.seed, ckey);
+            let _ = crng.gen::<f64>(); // dup slot, unused on copies
+            self.gate(crng, &profile, straggler, ckey, cenv);
         }
-        return;
     }
-    let extra = straggler_extra + delay_draw;
-    let dst = env.to.0 / shard_size;
-    if extra > 0 {
-        sinks.metrics.messages_delayed += 1;
-        sinks.delayed[dst].push((round + 1 + extra, key, env));
-    } else {
-        sinks.staging[dst].push((key, env));
+
+    /// Applies drop and delay gates to one message copy and stages it. A
+    /// dropped copy goes to [`retransmit`].
+    fn gate(
+        &mut self,
+        mut rng: SmallRng,
+        profile: &LinkFaults,
+        straggler_extra: u64,
+        key: MsgKey,
+        env: Envelope<M>,
+    ) {
+        // Both gate draws happen unconditionally, before the data-dependent
+        // drop return below, so the per-message stream consumes a fixed number
+        // of variates regardless of the drop outcome. Surviving copies see the
+        // same (drop, delay) values in the same order as before; dropped
+        // copies burn one extra variate from an rng that is discarded here.
+        let drop_draw = rng.gen::<f64>();
+        let delay_draw = if profile.max_delay > 0 {
+            rng.gen_range(0..=profile.max_delay)
+        } else {
+            0
+        };
+        if drop_draw < profile.drop_prob {
+            self.metrics.messages_dropped += 1;
+            retransmit(self.retrans, self.reliable, self.round, key, env);
+            return;
+        }
+        let extra = straggler_extra + delay_draw;
+        let dst = env.to.0 / self.shard_size;
+        if extra > 0 {
+            self.metrics.messages_delayed += 1;
+            self.delayed[dst].push((self.round + 1 + extra, key, env));
+        } else {
+            self.staging[dst].push((key, env));
+        }
     }
 }
 
@@ -1449,7 +1266,7 @@ mod tests {
     #[test]
     fn dropped_messages_do_not_count_as_received() {
         let cfg = FaultConfig::new(1.0, 0.0, 1).unwrap();
-        let mut net = Network::with_faults((0..3).map(|_| Flood { received: 0 }).collect(), cfg);
+        let mut net = flood_net(3).with_faults(cfg);
         net.run_until_quiescent(10).unwrap();
         for t in net.traffic() {
             assert_eq!(t.sent, 2);
@@ -1484,7 +1301,7 @@ mod tests {
     #[test]
     fn drop_all_faults_suppress_delivery() {
         let cfg = FaultConfig::new(1.0, 0.0, 1).unwrap();
-        let mut net = Network::with_faults((0..4).map(|_| Flood { received: 0 }).collect(), cfg);
+        let mut net = flood_net(4).with_faults(cfg);
         net.run_until_quiescent(10).unwrap();
         assert_eq!(net.metrics().messages_dropped, 12);
         assert_eq!(net.metrics().messages_delivered, 0);
@@ -1496,7 +1313,7 @@ mod tests {
     #[test]
     fn duplicate_all_faults_double_delivery() {
         let cfg = FaultConfig::new(0.0, 1.0, 1).unwrap();
-        let mut net = Network::with_faults((0..3).map(|_| Flood { received: 0 }).collect(), cfg);
+        let mut net = flood_net(3).with_faults(cfg);
         net.run_until_quiescent(10).unwrap();
         assert_eq!(net.metrics().messages_duplicated, 6);
         for node in net.nodes() {
@@ -1512,7 +1329,7 @@ mod tests {
     #[test]
     fn duplicates_pass_the_drop_gate_independently() {
         let cfg = FaultConfig::new(1.0, 1.0, 3).unwrap();
-        let mut net = Network::with_faults((0..4).map(|_| Flood { received: 0 }).collect(), cfg);
+        let mut net = flood_net(4).with_faults(cfg);
         net.run_until_quiescent(10).unwrap();
         let m = net.metrics();
         assert_eq!(m.messages_sent, 12);
@@ -1529,7 +1346,7 @@ mod tests {
     fn drop_rate_applies_to_duplicates_in_aggregate() {
         let cfg = FaultConfig::new(0.5, 1.0, 11).unwrap();
         let n = 40;
-        let mut net = Network::with_faults((0..n).map(|_| Flood { received: 0 }).collect(), cfg);
+        let mut net = flood_net(n).with_faults(cfg);
         net.run_until_quiescent(10).unwrap();
         let m = net.metrics();
         let sent = m.messages_sent as f64;
@@ -1548,8 +1365,7 @@ mod tests {
     fn fault_rng_is_deterministic() {
         let run = |seed: u64| {
             let cfg = FaultConfig::new(0.5, 0.0, seed).unwrap();
-            let mut net =
-                Network::with_faults((0..10).map(|_| Flood { received: 0 }).collect(), cfg);
+            let mut net = flood_net(10).with_faults(cfg);
             net.run_until_quiescent(10).unwrap();
             net.metrics().messages_dropped
         };
@@ -1636,7 +1452,7 @@ mod tests {
     fn delay_faults_deliver_eventually() {
         let faults = FaultConfig::new(0.0, 0.0, 5).unwrap().with_max_delay(4);
         let nodes = (0..5).map(|_| Flood { received: 0 }).collect();
-        let mut net: Network<u8, Flood> = Network::with_faults(nodes, faults);
+        let mut net: Network<u8, Flood> = Network::new(nodes).with_faults(faults);
         let report = net.run_until_quiescent(50).unwrap();
         assert_eq!(net.metrics().messages_sent, 20);
         assert_eq!(net.metrics().messages_delivered, 20);
@@ -1654,7 +1470,7 @@ mod tests {
     fn delay_composes_with_duplication() {
         let faults = FaultConfig::new(0.0, 1.0, 9).unwrap().with_max_delay(2);
         let nodes = (0..3).map(|_| Flood { received: 0 }).collect();
-        let mut net: Network<u8, Flood> = Network::with_faults(nodes, faults);
+        let mut net: Network<u8, Flood> = Network::new(nodes).with_faults(faults);
         net.run_until_quiescent(30).unwrap();
         // 6 sends, each duplicated once → 12 deliveries.
         assert_eq!(net.metrics().messages_delivered, 12);
@@ -1693,11 +1509,11 @@ mod tests {
                 log: Vec::new(),
             })
             .collect();
-        let net = match faults {
-            None => Network::new(nodes),
-            Some(cfg) => Network::with_faults(nodes, cfg),
-        };
-        net.with_shards(shards)
+        let net = Network::new(nodes).with_shards(shards);
+        match faults {
+            None => net,
+            Some(cfg) => net.with_faults(cfg),
+        }
     }
 
     /// Regression for the delayed-delivery ordering bug: delayed messages
@@ -1751,24 +1567,6 @@ mod tests {
         }
     }
 
-    /// Sequential and parallel stepping agree bit-for-bit.
-    #[test]
-    fn parallel_step_matches_sequential() {
-        let faults = FaultConfig::new(0.1, 0.2, 13).unwrap().with_max_delay(1);
-        let mut seq = burst_net(Some(faults), 4);
-        let mut par = burst_net(Some(faults), 4);
-        loop {
-            let a = seq.step();
-            let b = par.step_parallel();
-            assert_eq!(a, b);
-            if seq.in_flight() == 0 && seq.delayed() == 0 && a.active_nodes == 0 {
-                break;
-            }
-        }
-        assert_eq!(seq.node(NodeId(0)).log, par.node(NodeId(0)).log);
-        assert_eq!(seq.metrics(), par.metrics());
-    }
-
     /// Per-link fault overrides: a single dead link drops exactly its own
     /// traffic.
     #[test]
@@ -1779,14 +1577,52 @@ mod tests {
             max_delay: 0,
         };
         let topology = Topology::complete(4).with_link_faults(NodeId(0), NodeId(1), dead);
-        let nodes: Vec<Flood> = (0..4).map(|_| Flood { received: 0 }).collect();
-        let mut net =
-            Network::with_link_model(nodes, topology, FaultConfig::new(0.0, 0.0, 1).unwrap());
+        let mut net = flood_net(4)
+            .with_topology(topology)
+            .with_faults(FaultConfig::new(0.0, 0.0, 1).unwrap());
         net.run_until_quiescent(10).unwrap();
         assert_eq!(net.metrics().messages_dropped, 1);
         assert_eq!(net.node(NodeId(1)).received, 2); // lost exactly 0 → 1
         assert_eq!(net.node(NodeId(0)).received, 3);
         assert_eq!(net.node(NodeId(2)).received, 3);
+    }
+
+    /// Regression: a duplicating link override on a network with only a
+    /// node-fault plan panicked on its first routed message, because that
+    /// route had no way to copy the payload. Without any fault model the
+    /// override is ignored.
+    #[test]
+    fn duplicating_link_override_works_with_node_faults_only() {
+        /// Node 0 sends one payload to node 1 in round 0.
+        struct Once;
+        impl Node<u8> for Once {
+            fn on_round(&mut self, ctx: &mut Context<'_, u8>) -> Activity {
+                if ctx.round() == 0 && ctx.id().0 == 0 {
+                    ctx.send(NodeId(1), 7);
+                }
+                Activity::Idle
+            }
+        }
+        let dup = LinkFaults {
+            drop_prob: 0.0,
+            dup_prob: 1.0,
+            max_delay: 0,
+        };
+        let topology = || Topology::complete(2).with_link_faults(NodeId(0), NodeId(1), dup);
+        let mut net = Network::new(vec![Once, Once])
+            .with_topology(topology())
+            .with_node_faults(NodeFaultPlan::new(3));
+        net.run_until_quiescent(10).unwrap();
+        let m = net.metrics();
+        assert_eq!(m.messages_sent, 1);
+        assert_eq!(m.messages_duplicated, 1);
+        assert_eq!(m.messages_delivered, 2);
+        assert!(m.conserves(0, 0));
+
+        let mut plain = Network::new(vec![Once, Once]).with_topology(topology());
+        plain.run_until_quiescent(10).unwrap();
+        assert_eq!(plain.metrics().messages_sent, 1);
+        assert_eq!(plain.metrics().messages_delivered, 1);
     }
 
     #[test]
@@ -1982,8 +1818,9 @@ mod tests {
         let outcome = |seed: u64, retries: u16| {
             let cfg = FaultConfig::new(0.7, 0.0, seed).unwrap();
             let nodes = vec![OneShot { got: vec![] }, OneShot { got: vec![] }];
-            let mut net =
-                Network::with_faults(nodes, cfg).with_reliability(ReliableConfig::new(2, retries));
+            let mut net = Network::new(nodes)
+                .with_faults(cfg)
+                .with_reliability(ReliableConfig::new(2, retries));
             // Budget covers the full exponential backoff chain:
             // 2 + 4 + … + 64 ≈ 126 rounds for six retries.
             net.run_until_quiescent(200).unwrap();
@@ -2028,11 +1865,12 @@ mod tests {
         }
         let cfg = FaultConfig::new(0.4, 0.2, 19).unwrap().with_max_delay(2);
         let nodes: Vec<Chatty> = (0..6).map(|_| Chatty).collect();
-        let mut net = Network::with_faults(nodes, cfg)
+        let mut net = Network::new(nodes)
+            .with_faults(cfg)
             .with_reliability(ReliableConfig::new(1, 3))
             .with_shards(2);
         for _ in 0..40 {
-            net.step_parallel();
+            net.step();
             assert!(
                 net.metrics().conserves(net.in_flight(), net.delayed()),
                 "conservation violated: {:?} in_flight={} delayed={} retrans={}",

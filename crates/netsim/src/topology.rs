@@ -310,11 +310,13 @@ impl Topology {
 
     /// Overrides the fault profile of the directed link `from → to`.
     ///
-    /// Overrides only take effect on networks constructed with
-    /// [`crate::Network::with_faults`] (or
-    /// [`crate::Network::with_link_model`]), whose [`crate::FaultConfig`]
+    /// Overrides take effect whenever the network has a fault model: a
+    /// [`crate::FaultConfig`] ([`crate::Network::with_faults`]), which
     /// supplies the fault RNG seed and the default profile of every
-    /// non-overridden link.
+    /// non-overridden link, or a [`crate::NodeFaultPlan`]
+    /// ([`crate::Network::with_node_faults`]), whose seed drives the
+    /// overrides when there is no config (other links are then reliable).
+    /// A network with neither ignores them.
     ///
     /// # Panics
     ///

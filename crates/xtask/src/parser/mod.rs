@@ -4,15 +4,15 @@
 //! just enough structure from the token stream for the parser-level rules
 //! in [`crate::rules`]:
 //!
-//! * **items** — `fn`, `impl`, `use`, `static`, `mod` (recursed into),
-//!   everything else skipped with balanced-delimiter recovery;
+//! * **items** — `fn`, `impl`, `static`, `mod` (recursed into),
+//!   everything else (`use` included) skipped with balanced-delimiter
+//!   recovery;
 //! * **fn signatures** — name, parameter names and the identifier tokens
 //!   of each parameter's type (enough to recognize `&mut impl Rng`,
 //!   `&mut dyn RngCore`, `SmallRng`, …), plus the token range of the body;
 //! * **impl blocks** — trait name (for `impl Trait for Type`), type name,
 //!   and the methods they contain;
-//! * **use graph** — flattened leaf paths of every `use` declaration
-//!   (`use a::{b, c::d}` yields `a::b` and `a::c::d`).
+//! * **statics** — name and whether the item is observable mutable state.
 //!
 //! The parser never fails: unrecognized constructs are skipped token by
 //! token, so a file that rustc rejects still yields whatever items were
@@ -73,15 +73,6 @@ pub struct ImplItem {
     pub line: u32,
 }
 
-/// One flattened `use` leaf path.
-#[derive(Debug, Clone)]
-pub struct UsePath {
-    /// 1-indexed line of the `use` keyword.
-    pub line: u32,
-    /// Path segments (`use a::b::C` → `["a", "b", "C"]`).
-    pub segments: Vec<String>,
-}
-
 /// One `static` item.
 #[derive(Debug, Clone)]
 pub struct StaticItem {
@@ -121,8 +112,6 @@ pub struct ParsedFile {
     pub fns: Vec<FnItem>,
     /// Every `impl` block.
     pub impls: Vec<ImplItem>,
-    /// Flattened `use` declarations.
-    pub uses: Vec<UsePath>,
     /// `static` items declared anywhere in the file.
     pub statics: Vec<StaticItem>,
 }
@@ -217,7 +206,9 @@ fn parse_items(
             }
             Some("fn") => i = parse_fn(toks, i, end, impl_index, file),
             Some("impl") => i = parse_impl(toks, i, end, file),
-            Some("use") => i = parse_use(toks, i, end, file),
+            // `use` declarations feed no rule; skip them whole so they are
+            // not parsed as items.
+            Some("use") => i = skip_to_semicolon(toks, i + 1, end),
             Some("static") => {
                 let line = toks[i].line;
                 let mut j = i + 1;
@@ -513,80 +504,6 @@ fn parse_impl(toks: &[Token], impl_kw: usize, end: usize, file: &mut ParsedFile)
     });
     parse_items(toks, i + 1, close, Some(idx), file);
     close + 1
-}
-
-/// Parses a `use` declaration, expanding nested `{...}` groups into flat
-/// leaf paths; returns the index past the `;`.
-fn parse_use(toks: &[Token], use_kw: usize, end: usize, file: &mut ParsedFile) -> usize {
-    let line = toks[use_kw].line;
-    let semi = {
-        let mut j = use_kw + 1;
-        while j < end && !punct_at(toks, j, ';') {
-            j += 1;
-        }
-        j
-    };
-    let mut leaves = Vec::new();
-    expand_use(&toks[use_kw + 1..semi], &[], &mut leaves);
-    file.uses.extend(
-        leaves
-            .into_iter()
-            .map(|segments| UsePath { line, segments }),
-    );
-    semi + 1
-}
-
-/// Recursively expands a use-tree token slice under `prefix`.
-fn expand_use(toks: &[Token], prefix: &[String], out: &mut Vec<Vec<String>>) {
-    // Split the slice at depth-0 commas; each piece is `seg::seg::…` with
-    // an optional trailing `{group}` or `as alias`.
-    let mut start = 0usize;
-    let mut i = 0usize;
-    while i <= toks.len() {
-        let split = i == toks.len() || matches!(toks[i].kind, TokenKind::Punct(','));
-        if !split {
-            if matches!(toks[i].kind, TokenKind::Punct('{')) {
-                i = matching(toks, i) + 1;
-                continue;
-            }
-            i += 1;
-            continue;
-        }
-        let piece = &toks[start..i];
-        if !piece.is_empty() {
-            let mut path: Vec<String> = prefix.to_vec();
-            let mut j = 0usize;
-            let mut done = false;
-            while j < piece.len() {
-                match &piece[j].kind {
-                    TokenKind::Ident(s) if s == "as" => {
-                        // Alias: the leaf is already recorded; skip it.
-                        j = piece.len();
-                    }
-                    TokenKind::Ident(s) => {
-                        path.push(s.clone());
-                        j += 1;
-                    }
-                    TokenKind::Punct('{') => {
-                        let close = matching(piece, j);
-                        expand_use(&piece[j + 1..close], &path, out);
-                        done = true;
-                        j = close + 1;
-                    }
-                    TokenKind::Punct('*') => {
-                        path.push("*".to_string());
-                        j += 1;
-                    }
-                    _ => j += 1,
-                }
-            }
-            if !done && !path.is_empty() {
-                out.push(path);
-            }
-        }
-        start = i + 1;
-        i += 1;
-    }
 }
 
 #[cfg(test)]

@@ -46,21 +46,6 @@ fn qualified_trait_paths_keep_the_final_segment() {
 }
 
 #[test]
-fn use_groups_flatten_to_leaf_paths() {
-    let f = parsed("use rand::{rngs::{SmallRng, StdRng}, Rng};\nuse std::fmt;");
-    let paths: Vec<String> = f.uses.iter().map(|u| u.segments.join("::")).collect();
-    assert_eq!(
-        paths,
-        [
-            "rand::rngs::SmallRng",
-            "rand::rngs::StdRng",
-            "rand::Rng",
-            "std::fmt"
-        ]
-    );
-}
-
-#[test]
 fn statics_and_nested_mods_are_found() {
     let f = parsed(
         "static TABLE: [f64; 2] = [0.0, 1.0];\n\

@@ -146,12 +146,12 @@ fn amp_workspace_path_matches_one_shot() {
 /// The sharded network engine's core guarantee: a fault-injected
 /// (drop + dup + delay) gossip run produces bit-identical estimates,
 /// metrics and traffic for every shard count in {1, 2, 8} and every
-/// thread count in {1, 4} — sequential and parallel stepping included.
+/// thread count in {1, 4}.
 #[test]
 fn sharded_network_is_identical_across_shard_and_thread_counts() {
     let values: Vec<f64> = (0..96).map(|i| ((i as f64) * 0.73).sin() * 10.0).collect();
     let faults = FaultConfig::new(0.05, 0.1, 3).unwrap().with_max_delay(2);
-    let run = |shards: usize, threads: usize, parallel: bool| -> (Vec<u64>, Metrics) {
+    let run = |shards: usize, threads: usize| -> (Vec<u64>, Metrics) {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -162,29 +162,23 @@ fn sharded_network_is_identical_across_shard_and_thread_counts() {
                 .enumerate()
                 .map(|(i, &v)| PushSumNode::new(v, 40, 17, i))
                 .collect();
-            let mut net = Network::with_faults(nodes, faults).with_shards(shards);
-            if parallel {
-                net.run_until_quiescent_parallel(100).unwrap();
-            } else {
-                net.run_until_quiescent(100).unwrap();
-            }
+            let mut net = Network::new(nodes).with_faults(faults).with_shards(shards);
+            net.run_until_quiescent(100).unwrap();
             let estimates = net.nodes().iter().map(|n| n.estimate().to_bits()).collect();
             (estimates, *net.metrics())
         })
     };
-    let reference = run(1, 1, false);
+    let reference = run(1, 1);
     assert!(reference.1.messages_dropped > 0, "no drops drawn");
     assert!(reference.1.messages_duplicated > 0, "no dups drawn");
     assert!(reference.1.messages_delayed > 0, "no delays drawn");
     for shards in [1usize, 2, 8] {
         for threads in [1usize, 4] {
-            for parallel in [false, true] {
-                assert_eq!(
-                    run(shards, threads, parallel),
-                    reference,
-                    "shards={shards} threads={threads} parallel={parallel}"
-                );
-            }
+            assert_eq!(
+                run(shards, threads),
+                reference,
+                "shards={shards} threads={threads}"
+            );
         }
     }
 }
@@ -214,13 +208,11 @@ fn sharded_topology_runs_are_identical() {
             let nodes: Vec<PushSumNode> = (0..n)
                 .map(|i| PushSumNode::new(i as f64, 30, 5, i))
                 .collect();
-            let mut net = Network::with_link_model(
-                nodes,
-                topology(n),
-                FaultConfig::new(0.02, 0.05, 23).unwrap().with_max_delay(1),
-            )
-            .with_shards(shards);
-            net.run_until_quiescent_parallel(80).unwrap();
+            let mut net = Network::new(nodes)
+                .with_topology(topology(n))
+                .with_faults(FaultConfig::new(0.02, 0.05, 23).unwrap().with_max_delay(1))
+                .with_shards(shards);
+            net.run_until_quiescent(80).unwrap();
             (
                 net.nodes().iter().map(|n| n.estimate().to_bits()).collect(),
                 *net.metrics(),
@@ -270,11 +262,12 @@ fn chaos_network_is_identical_across_shard_and_thread_counts() {
                 .enumerate()
                 .map(|(i, &v)| PushSumNode::new(v, 30, 19, i))
                 .collect();
-            let mut net = Network::with_faults(nodes, faults)
+            let mut net = Network::new(nodes)
+                .with_faults(faults)
                 .with_node_faults(plan)
                 .with_corruptor(garble)
                 .with_shards(shards);
-            net.run_until_quiescent_parallel(120).unwrap();
+            net.run_until_quiescent(120).unwrap();
             let estimates = net.nodes().iter().map(|n| n.estimate().to_bits()).collect();
             (estimates, *net.metrics())
         })

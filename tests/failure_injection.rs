@@ -170,13 +170,13 @@ fn faulted_gossip_run(
         let nodes: Vec<PushSumNode> = (0..48)
             .map(|i| PushSumNode::new((i as f64) - 11.5, rounds, 77, i))
             .collect();
-        let mut net = Network::with_faults(nodes, faults).with_shards(shards);
+        let mut net = Network::new(nodes).with_faults(faults).with_shards(shards);
         if let Some(plan) = plan {
             net = net.with_node_faults(plan).with_corruptor(garble);
         }
         let mut reports = Vec::with_capacity(rounds);
         for _ in 0..rounds {
-            reports.push(net.step_parallel());
+            reports.push(net.step());
             assert!(
                 net.metrics().conserves(net.in_flight(), net.delayed()),
                 "conservation violated mid-run: {:?} in_flight={} delayed={}",

@@ -4,7 +4,7 @@
 //! decoder.
 
 use noisy_pooled_data::core::{Decoder, GreedyDecoder, Instance, NoiseModel};
-use noisy_pooled_data::netsim::gossip::{push_sum_average, select_top_k, TopKNode};
+use noisy_pooled_data::netsim::gossip::{push_sum_average, select_top_k, TopKNode, PROBE_LIMIT};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,7 +45,7 @@ fn selection_cost_is_adaptive() {
         .sample(&mut StdRng::seed_from_u64(9));
     let scores = GreedyDecoder::new().scores(&run);
     let report = select_top_k(&scores, 3);
-    assert!(report.rounds <= TopKNode::max_rounds(200));
+    assert!(report.rounds <= TopKNode::max_rounds(200, PROBE_LIMIT));
     // The pre-adaptive fixed timetable ran (3 + 2·90) phases of
     // ⌈log₂ 200⌉ + 1 = 9 rounds each, i.e. 1 647 rounds, on every input.
     assert!(
