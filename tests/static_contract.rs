@@ -20,7 +20,8 @@
 //!   analyzer run here pins the whole crate free of provenance hazards.
 
 use noisy_pooled_data::core::{
-    DoublyRegularDesign, Instance, NoiseModel, PoolingDesign, PoolingGraph,
+    CategoricalInstance, DesignSpec, DoublyRegularDesign, Instance, NoiseModel, PoolingDesign,
+    PoolingGraph,
 };
 use noisy_pooled_data::decoders::{McmcConfig, McmcDecoder};
 use rand::rngs::StdRng;
@@ -68,6 +69,89 @@ fn doubly_regular_stream_is_unchanged_by_the_hash_audit() {
         "DoublyRegularDesign's sampling stream moved; its HashMaps are \
          annotated membership-only and must not influence output order"
     );
+}
+
+/// Every design's sampling stream at Γ = 37 on n = 120, m = 90, where the
+/// doubly regular pools come out ragged (37 and 38 slots). Per design:
+/// the batch graph of `spec.sample`, the graph and result bits of
+/// `Instance::sample`, and the graph of `CategoricalInstance::sample`.
+/// Recorded before the design layer was folded into `DesignSpec`; a moved
+/// pin is a behaviour change, not a stale constant.
+const DESIGN_STREAM_PINS: [(u64, u64, u64); 6] = [
+    (
+        0xB909_8F1A_4DE0_0B2E,
+        0xAF52_F356_1CB6_8928,
+        0x4781_B034_716C_A24B,
+    ), // iid
+    (
+        0x6D48_93CA_1B86_FB00,
+        0x7A1D_AA55_ABF5_D045,
+        0x8F79_9743_1EE3_B184,
+    ), // gamma-subset
+    (
+        0xDC1D_5E57_C500_F4CB,
+        0x263F_189D_CCD6_7EE4,
+        0x574A_6C4A_05B9_5B7C,
+    ), // balanced-deck
+    (
+        0xFB6D_BD67_6C60_7E6F,
+        0xA24F_F3DA_4668_619E,
+        0xA3E9_D5D4_26DF_1D17,
+    ), // doubly-regular
+    (
+        0x065C_9360_E80C_59B5,
+        0xF3D0_6C49_7DEF_3A3E,
+        0xE311_EDD1_3724_B3D9,
+    ), // sparse-column
+    (
+        0xF8D4_EC36_6B26_EA4D,
+        0x99A8_2A77_E19A_5BF2,
+        0x56CF_09ED_1955_1216,
+    ), // spatially-coupled
+];
+
+#[test]
+fn design_streams_are_pinned() {
+    let specs = [
+        DesignSpec::Iid,
+        DesignSpec::GammaSubset,
+        DesignSpec::BalancedDeck,
+        DesignSpec::DoublyRegular,
+        DesignSpec::SparseColumn,
+        DesignSpec::SpatiallyCoupled { bands: 4 },
+    ];
+    for (i, (spec, pins)) in specs.into_iter().zip(DESIGN_STREAM_PINS).enumerate() {
+        let seed = 0xD5_0000 + i as u64;
+        let batch = spec.sample(120, 90, 37, &mut StdRng::seed_from_u64(seed));
+        let run = Instance::builder(120)
+            .k(4)
+            .queries(90)
+            .query_size(37)
+            .noise(NoiseModel::channel(0.1, 0.05))
+            .design(spec)
+            .build()
+            .expect("valid pin configuration")
+            .sample(&mut StdRng::seed_from_u64(seed));
+        let mut h = Fnv::new();
+        h.mix(graph_fingerprint(run.graph()));
+        for &r in run.results() {
+            h.mix(r.to_bits());
+        }
+        let categorical = CategoricalInstance::new(120, vec![3, 2], 90)
+            .expect("valid pin configuration")
+            .with_gamma(37)
+            .with_design(spec)
+            .sample(&mut StdRng::seed_from_u64(seed));
+        let got = (
+            graph_fingerprint(&batch),
+            h.0,
+            graph_fingerprint(categorical.graph()),
+        );
+        assert_eq!(
+            got, pins,
+            "{spec}: sampling stream moved (batch, instance, categorical): {got:#018X?}"
+        );
+    }
 }
 
 fn mcmc_fingerprint(seed: u64) -> u64 {
