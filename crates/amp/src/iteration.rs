@@ -75,8 +75,8 @@ pub struct AmpOutput {
 /// `bx`); allocating them per call dominated small-instance decode time in
 /// the Monte-Carlo sweeps. A workspace is resized on first use and reused
 /// across repeated solves of the same shape without touching the
-/// allocator. [`run_amp`] remains the one-shot entry point;
-/// [`run_amp_with`] produces bit-identical output by construction (same
+/// allocator. [`run_amp_with`] is the one entry point; a reused workspace
+/// gives output bit-identical to a fresh one by construction (same
 /// operations in the same order, only the backing storage differs).
 #[derive(Debug, Clone, Default)]
 pub struct AmpWorkspace {
@@ -117,23 +117,12 @@ impl AmpWorkspace {
     }
 }
 
-/// Runs AMP on a prepared problem with the given denoiser (one-shot entry
-/// point; allocates a fresh [`AmpWorkspace`]).
+/// Runs AMP on a prepared problem with the given denoiser, reusing the
+/// caller's workspace buffers.
 ///
-/// # Panics
-///
-/// Panics if the prepared observation vector length does not match the
-/// matrix row count.
-pub fn run_amp<D: Denoiser>(prep: &Prepared, denoiser: &D, config: &AmpConfig) -> AmpOutput {
-    let mut workspace = AmpWorkspace::new();
-    run_amp_with(prep, denoiser, config, &mut workspace)
-}
-
-/// Runs AMP reusing the caller's workspace buffers.
-///
-/// Output is identical to [`run_amp`]; repeated calls on problems of the
-/// same shape perform no per-call heap allocation beyond the returned
-/// [`AmpOutput`].
+/// Output does not depend on the workspace's history; repeated calls on
+/// problems of the same shape perform no per-call heap allocation beyond
+/// the returned [`AmpOutput`].
 ///
 /// # Panics
 ///
@@ -150,7 +139,7 @@ pub fn run_amp_with<D: Denoiser>(
     assert_eq!(
         prep.observations.len(),
         m,
-        "run_amp: observations/matrix mismatch"
+        "run_amp_with: observations/matrix mismatch"
     );
 
     let y = &prep.observations;

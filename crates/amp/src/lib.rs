@@ -60,5 +60,5 @@ pub mod state_evolution;
 
 pub use denoiser::{BayesBernoulli, BayesSimplex, Denoiser, SoftThreshold};
 pub use iteration::{AmpConfig, AmpDecoder, AmpOutput, AmpWorkspace, DenoiserKind};
-pub use matrix_amp::{run_matrix_amp, run_matrix_amp_tracking, MatrixAmpConfig, MatrixAmpOutput};
+pub use matrix_amp::{run_matrix_amp_tracking, MatrixAmpConfig, MatrixAmpOutput};
 pub use preprocess::{prepare_categorical, CategoricalPrepared, CenteredMatrix};

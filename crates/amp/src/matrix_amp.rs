@@ -135,11 +135,6 @@ pub fn cholesky_with_jitter(t: &Matrix) -> Matrix {
     panic!("cholesky_with_jitter: matrix not factorizable at any jitter (non-finite input?)");
 }
 
-/// Runs matrix-AMP on a prepared categorical problem.
-pub fn run_matrix_amp(prepared: &CategoricalPrepared, config: &MatrixAmpConfig) -> MatrixAmpOutput {
-    run_matrix_amp_tracking(prepared, config, None)
-}
-
 /// [`run_matrix_amp_tracking`] with a telemetry sink: emits one
 /// `matrix_amp.iter` event per iteration carrying `t_trace` (the trace
 /// of the effective-noise matrix `T_t`, the scalar summary of the
@@ -402,8 +397,8 @@ mod tests {
             .with_noise(NoiseModel::gaussian(0.5));
         let run = inst.sample(&mut StdRng::seed_from_u64(13));
         let prep = prepare_categorical(&run);
-        let a = run_matrix_amp(&prep, &MatrixAmpConfig::default());
-        let b = run_matrix_amp(&prep, &MatrixAmpConfig::default());
+        let a = run_matrix_amp_tracking(&prep, &MatrixAmpConfig::default(), None);
+        let b = run_matrix_amp_tracking(&prep, &MatrixAmpConfig::default(), None);
         assert_eq!(a.estimate.as_slice(), b.estimate.as_slice());
         assert_eq!(a.labels, b.labels);
     }
@@ -421,13 +416,14 @@ mod tests {
             tolerance: 0.0,
             ..MatrixAmpConfig::default()
         };
-        let with = run_matrix_amp(&prep, &cfg);
-        let without = run_matrix_amp(
+        let with = run_matrix_amp_tracking(&prep, &cfg, None);
+        let without = run_matrix_amp_tracking(
             &prep,
             &MatrixAmpConfig {
                 onsager: false,
                 ..cfg
             },
+            None,
         );
         assert_ne!(with.estimate.as_slice(), without.estimate.as_slice());
     }

@@ -169,14 +169,18 @@ fn categorical_d2_reproduces_the_pinned_binary_stream() {
 
 #[test]
 fn matrix_amp_label_fingerprint_is_pinned() {
-    use noisy_pooled_data::amp::matrix_amp::run_matrix_amp;
+    use noisy_pooled_data::amp::matrix_amp::run_matrix_amp_tracking;
     use noisy_pooled_data::amp::{prepare_categorical, MatrixAmpConfig};
     use noisy_pooled_data::core::CategoricalInstance;
     let run = CategoricalInstance::new(800, vec![90, 70], 500)
         .unwrap()
         .with_noise(NoiseModel::channel(0.05, 0.02))
         .sample(&mut StdRng::seed_from_u64(777));
-    let out = run_matrix_amp(&prepare_categorical(&run), &MatrixAmpConfig::default());
+    let out = run_matrix_amp_tracking(
+        &prepare_categorical(&run),
+        &MatrixAmpConfig::default(),
+        None,
+    );
     let mut f = Fnv::new();
     for &label in &out.labels {
         f.mix(u64::from(label));

@@ -464,7 +464,7 @@ fn categorical_d2_pipeline_matches_binary_bit_for_bit() {
 /// thread count.
 #[test]
 fn matrix_amp_decode_is_identical_across_thread_counts() {
-    use noisy_pooled_data::amp::matrix_amp::run_matrix_amp;
+    use noisy_pooled_data::amp::matrix_amp::run_matrix_amp_tracking;
     use noisy_pooled_data::amp::{prepare_categorical, MatrixAmpConfig};
     use noisy_pooled_data::core::CategoricalInstance;
 
@@ -478,7 +478,7 @@ fn matrix_amp_decode_is_identical_across_thread_counts() {
             .num_threads(threads)
             .build()
             .unwrap();
-        pool.install(|| run_matrix_amp(&prepare_categorical(&run), &config))
+        pool.install(|| run_matrix_amp_tracking(&prepare_categorical(&run), &config, None))
     };
     let reference = decode(1);
     for threads in [2usize, 4, 8] {
