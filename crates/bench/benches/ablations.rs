@@ -7,7 +7,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use npd_core::{
-    Centering, Decoder, GreedyDecoder, IncrementalSim, Instance, NoiseModel, TwoStepDecoder,
+    Centering, Decoder, DesignSpec, GreedyDecoder, IncrementalSim, Instance, NoiseModel,
+    TwoStepDecoder,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,11 +53,12 @@ fn bench_query_size(c: &mut Criterion) {
                 let mut seed = 0u64;
                 b.iter(|| {
                     seed += 1;
-                    let mut sim = IncrementalSim::with_query_size(
+                    let mut sim = IncrementalSim::with_design(
                         n,
                         6,
                         gamma,
                         NoiseModel::z_channel(0.1),
+                        DesignSpec::Iid,
                         seed,
                     );
                     black_box(sim.required_queries(50_000).expect("separates"))

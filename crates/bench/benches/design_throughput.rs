@@ -1,5 +1,4 @@
-//! Sampling cost of each pooling design in the [`npd_core::PoolingDesign`]
-//! catalog.
+//! Sampling cost of each [`npd_core::DesignSpec`] pooling design.
 //!
 //! The design layer is the extension point every workload plugs into, so
 //! BENCH tracks what a full graph sample costs per design at a mid-size

@@ -5,8 +5,8 @@
 //! binary in `npd-experiments`; these benches answer "how fast is the
 //! implementation on that workload"). Two targets track infrastructure
 //! rather than figures: `netsim_scale` (the sharded simulator's round loop
-//! at `n > 10⁶`) and `design_throughput` (sampling cost of every pooling
-//! design in the `npd_core::PoolingDesign` catalog).
+//! at `n > 10⁶`) and `design_throughput` (sampling cost of every
+//! `npd_core::DesignSpec` pooling design).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -288,19 +288,30 @@ impl CategoricalInstance {
 
     /// Replaces the query size `Γ`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `gamma == 0`.
-    pub fn with_gamma(mut self, gamma: usize) -> Self {
-        assert!(gamma > 0, "CategoricalInstance: Γ must be positive");
+    /// Returns [`InstanceError::EmptyQuery`] for `gamma == 0` and
+    /// [`InstanceError::QueryLargerThanPopulation`] when the design is
+    /// [`DesignSpec::GammaSubset`] and `gamma > n`.
+    pub fn with_gamma(mut self, gamma: usize) -> Result<Self, InstanceError> {
+        if gamma == 0 {
+            return Err(InstanceError::EmptyQuery);
+        }
+        self.design.check(self.n, gamma)?;
         self.gamma = gamma;
-        self
+        Ok(self)
     }
 
     /// Replaces the pooling design.
-    pub fn with_design(mut self, design: DesignSpec) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InstanceError::QueryLargerThanPopulation`] when `design`
+    /// is [`DesignSpec::GammaSubset`] and `Γ > n`.
+    pub fn with_design(mut self, design: DesignSpec) -> Result<Self, InstanceError> {
+        design.check(self.n, self.gamma)?;
         self.design = design;
-        self
+        Ok(self)
     }
 
     /// Population size `n`.
@@ -368,13 +379,7 @@ impl CategoricalInstance {
     /// single-strain case is stream-identical to the binary path.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> CategoricalRun {
         let truth = CategoricalTruth::sample(self.n, &self.strain_counts, rng);
-        let graph = match self.design.legacy_sampling() {
-            Some(sampling) => PoolingGraph::sample_with(self.n, self.m, self.gamma, sampling, rng),
-            None => {
-                let mut r = &mut *rng;
-                self.design.sample(self.n, self.m, self.gamma, &mut r)
-            }
-        };
+        let graph = self.design.sample(self.n, self.m, self.gamma, rng);
         let results = measure_categorical(&graph, &truth, &self.noise, rng);
         CategoricalRun {
             instance: self.clone(),
@@ -533,6 +538,22 @@ mod tests {
         assert_eq!(inst.d(), 3);
         assert_eq!(inst.gamma(), 50);
         assert_eq!(inst.category_counts(), vec![90, 4, 6]);
+    }
+
+    #[test]
+    fn oversized_gamma_subset_is_rejected_in_either_order() {
+        let inst = CategoricalInstance::new(10, vec![2], 5).unwrap();
+        let oversized = InstanceError::QueryLargerThanPopulation { gamma: 20, n: 10 };
+        let gamma_first = inst.clone().with_gamma(20).unwrap();
+        assert_eq!(
+            gamma_first
+                .with_design(DesignSpec::GammaSubset)
+                .unwrap_err(),
+            oversized
+        );
+        let design_first = inst.clone().with_design(DesignSpec::GammaSubset).unwrap();
+        assert_eq!(design_first.with_gamma(20).unwrap_err(), oversized);
+        assert_eq!(inst.with_gamma(0).unwrap_err(), InstanceError::EmptyQuery);
     }
 
     #[test]

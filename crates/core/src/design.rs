@@ -1,5 +1,5 @@
 //! The pooling-design layer: the bipartite multigraph between agents and
-//! queries, and the pluggable schemes that sample it.
+//! queries, and the schemes that sample it.
 //!
 //! Following the paper's model section, every query draws `Γ` agents
 //! uniformly at random *with replacement* from the population, so an agent
@@ -15,62 +15,27 @@
 //! queries at the same noise. This module therefore exposes the design as a
 //! plug point:
 //!
-//! * [`PoolingDesign`] — the object-safe trait every scheme implements:
-//!   sample a [`PoolingGraph`] from `(n, m, Γ, rng)` plus metadata (name,
-//!   agent/query regularity, expected slot profile).
-//! * [`IidDesign`] — the paper's i.i.d. `Γ`-regular multigraph (the
-//!   refactored original sampler; bit-identical to [`PoolingGraph::sample`]).
-//! * [`DoublyRegularDesign`] — exact agent-regularity *and* balanced pool
-//!   sizes via a configuration-model pairing with switch repair.
-//! * [`SparseColumnDesign`] — exact constant column weight with free pool
-//!   sizes, the classic group-testing design for the sparse regime.
-//! * [`SpatiallyCoupledDesign`] — banded queries sliding over the agent
-//!   axis, giving the sensing matrix the block-band structure
-//!   spatially-coupled AMP exploits.
-//! * [`DesignSpec`] — a copyable, serializable name for a design (including
-//!   the legacy [`Sampling`] schemes), used by configuration types such as
+//! * [`DesignSpec`] — the one name of every design: a copyable,
+//!   serializable enum carried by configuration types such as
 //!   [`crate::Instance`] and the experiment harness's scenario registry.
+//!   Its variants are the paper's i.i.d. multigraph, uniform `Γ`-subsets,
+//!   the rotating balanced deck, the exactly doubly regular configuration
+//!   model, the sparse constant-column design and the spatially-coupled
+//!   band design.
+//! * [`PoolingDesign`] — the trait [`DesignSpec`] implements: sample a
+//!   [`PoolingGraph`] from `(n, m, Γ, rng)` plus metadata (name,
+//!   agent/query regularity, expected slot profile). Its `sample` is the
+//!   only sampling path; [`PoolingGraph::sample`] names the paper's design
+//!   and calls it with [`DesignSpec::Iid`].
 
-use crate::model::GroundTruth;
+use crate::model::{GroundTruth, InstanceError};
 use crate::noise::NoiseModel;
 use npd_numerics::CsrMatrix;
-use rand::{Rng, RngCore};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
-// xtask:allow(hash-iteration): used only as a multiplicity counter probed by key (see DoublyRegularDesign::sample); never iterated
+// xtask:allow(hash-iteration): used only as a multiplicity counter probed by key (see DesignSpec::sample_doubly_regular); never iterated
 use std::collections::HashMap;
 use std::fmt;
-
-/// How each query's `Γ` slots are drawn from the population.
-///
-/// The paper uses [`WithReplacement`](Sampling::WithReplacement) (multi-
-/// edges allowed), noting it “adapts techniques used in a variety of other
-/// statistical inference problems”. The without-replacement design is the
-/// classic alternative from the group-testing literature; it touches `Γ`
-/// distinct agents per query instead of `≈ γn`, and the ablation study
-/// (`repro ablations`) quantifies the resulting query savings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Sampling {
-    /// Uniform i.i.d. slots; agents may repeat within a query (the paper's
-    /// design).
-    #[default]
-    WithReplacement,
-    /// Uniform `Γ`-subsets; every slot is a distinct agent.
-    WithoutReplacement,
-    /// Doubly-balanced allocation: slots are dealt from a rotating
-    /// random-permutation deck that is reshuffled whenever it runs out, so
-    /// after `m` queries every agent has degree `⌊mΓ/n⌋` or `⌈mΓ/n⌉` while
-    /// every query still has exactly `Γ` slots — the constant-column-weight
-    /// idea of the group-testing literature (near-constant tests per item).
-    ///
-    /// Degree regularity is a double-edged sword here: dealing couples
-    /// queries *within* a deck pass. At sparse query sizes (`Γ ≲ n/8`) the
-    /// coupling is mild and the design measurably beats the paper's
-    /// independent sampling under noise, but at the paper's dense `Γ = n/2`
-    /// each pass deals two exactly complementary queries whose results are
-    /// perfectly anti-correlated, inflating the score fluctuations of the
-    /// maximum-neighborhood rule — `repro designs` quantifies both regimes.
-    Balanced,
-}
 
 /// One query's multiset of agents, run-length encoded and sorted by agent
 /// id.
@@ -171,58 +136,16 @@ pub struct PoolingGraph {
 }
 
 impl PoolingGraph {
-    /// Samples the random design: `m` queries, each `Γ = gamma` slots drawn
-    /// uniformly with replacement (the paper's design; see
-    /// [`sample_with`](Self::sample_with) for the without-replacement
-    /// variant).
+    /// Samples the paper's design: `m` queries, each `Γ = gamma` slots
+    /// drawn uniformly with replacement. This is
+    /// [`DesignSpec::Iid`]`.sample(..)`; the other designs are sampled
+    /// through their own [`DesignSpec`] variant.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`, `gamma == 0`, or `n > u32::MAX`.
     pub fn sample<R: Rng + ?Sized>(n: usize, m: usize, gamma: usize, rng: &mut R) -> Self {
-        Self::sample_with(n, m, gamma, Sampling::WithReplacement, rng)
-    }
-
-    /// Samples the design under an explicit [`Sampling`] scheme.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use npd_core::{PoolingGraph, Sampling};
-    /// use rand::SeedableRng;
-    ///
-    /// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    /// let graph = PoolingGraph::sample_with(60, 12, 30, Sampling::WithoutReplacement, &mut rng);
-    /// // Every query of the Γ-subset design touches Γ *distinct* agents.
-    /// assert!(graph.queries().iter().all(|q| q.distinct_len() == 30));
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`, `gamma == 0`, `n > u32::MAX`, or (without
-    /// replacement) `gamma > n`.
-    pub fn sample_with<R: Rng + ?Sized>(
-        n: usize,
-        m: usize,
-        gamma: usize,
-        sampling: Sampling,
-        rng: &mut R,
-    ) -> Self {
-        assert!(n > 0, "PoolingGraph::sample: n must be positive");
-        assert!(gamma > 0, "PoolingGraph::sample: gamma must be positive");
-        assert!(n <= u32::MAX as usize, "PoolingGraph::sample: n too large");
-        let queries = match sampling {
-            Sampling::WithReplacement => iid_queries(n, m, gamma, rng),
-            Sampling::WithoutReplacement => {
-                assert!(
-                    gamma <= n,
-                    "PoolingGraph::sample_with: gamma={gamma} exceeds n={n} without replacement"
-                );
-                subset_queries(n, m, gamma, rng)
-            }
-            Sampling::Balanced => deck_queries(n, m, gamma, rng),
-        };
-        Self { n, gamma, queries }
+        DesignSpec::Iid.sample(n, m, gamma, rng)
     }
 
     /// Builds a graph from explicit slot lists (one per query).
@@ -260,8 +183,8 @@ impl PoolingGraph {
     /// (ragged queries), recording `nominal_gamma` as the design's nominal
     /// query size.
     ///
-    /// The exactly balanced designs ([`DoublyRegularDesign`],
-    /// [`SparseColumnDesign`]) trade the paper's fixed `Γ` for degree
+    /// The exactly balanced designs ([`DesignSpec::DoublyRegular`],
+    /// [`DesignSpec::SparseColumn`]) trade the paper's fixed `Γ` for degree
     /// regularity, so their pool sizes can differ by one (or more, for the
     /// free-pool sparse design); this constructor is their entry point.
     /// Consumers that need a per-query size must use
@@ -433,75 +356,6 @@ impl PoolingGraph {
     }
 }
 
-/// The paper's i.i.d. sampler: `m` queries of `gamma` uniform slots each,
-/// drawn with replacement. Extracted so [`PoolingGraph::sample_with`] and
-/// [`IidDesign`] share one RNG-call sequence (pinned bit-identical by the
-/// `iid_design_is_bit_identical_to_legacy_sampler` regression test).
-fn iid_queries<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    gamma: usize,
-    rng: &mut R,
-) -> Vec<QueryMultiset> {
-    (0..m)
-        .map(|_| {
-            let slots: Vec<u32> = (0..gamma).map(|_| rng.gen_range(0..n as u32)).collect();
-            QueryMultiset::from_slots(slots)
-        })
-        .collect()
-}
-
-/// Uniform `Γ`-subset queries via a reusable partial Fisher–Yates: after
-/// each query the array is still a permutation, so the next draw stays
-/// uniform.
-fn subset_queries<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    gamma: usize,
-    rng: &mut R,
-) -> Vec<QueryMultiset> {
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    (0..m)
-        .map(|_| {
-            for i in 0..gamma {
-                let j = rng.gen_range(i..n);
-                idx.swap(i, j);
-            }
-            QueryMultiset::from_slots(idx[..gamma].to_vec())
-        })
-        .collect()
-}
-
-/// Rotating-deck queries: deal `Γ` slots per query, reshuffling the full
-/// permutation whenever it runs out, so agent degrees stay within one of
-/// each other at every prefix of the query sequence.
-fn deck_queries<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    gamma: usize,
-    rng: &mut R,
-) -> Vec<QueryMultiset> {
-    let mut deck: Vec<u32> = (0..n as u32).collect();
-    let mut pos = n; // empty deck forces the initial shuffle
-    (0..m)
-        .map(|_| {
-            let mut slots = Vec::with_capacity(gamma);
-            for _ in 0..gamma {
-                if pos == n {
-                    for i in (1..n).rev() {
-                        let j = rng.gen_range(0..=i);
-                        deck.swap(i, j);
-                    }
-                    pos = 0;
-                }
-                slots.push(deck[pos]);
-                pos += 1;
-            }
-            QueryMultiset::from_slots(slots)
-        })
-        .collect()
-}
-
 /// Structural metadata of a pooling design at a concrete `(n, m, Γ)`
 /// operating point (see [`PoolingDesign::profile`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -520,20 +374,19 @@ pub struct DesignProfile {
 ///
 /// This is the extension point the experiment harness plugs workloads into:
 /// a design maps `(n, m, Γ, rng)` to a [`PoolingGraph`] and describes its
-/// own structure (name, regularity, expected slot profile). The trait is
-/// object-safe so heterogeneous design catalogs can be iterated
-/// (`Vec<Box<dyn PoolingDesign>>`), mirroring [`crate::Decoder`].
+/// own structure (name, regularity, expected slot profile). [`DesignSpec`]
+/// is its one implementation, so a design catalog is a slice of
+/// [`DesignSpec`]s. `sample` is generic over the RNG, so every slot draw
+/// is monomorphized rather than sent through a trait object.
 ///
 /// # Examples
 ///
 /// ```
-/// use npd_core::{DoublyRegularDesign, IidDesign, PoolingDesign};
+/// use npd_core::{DesignSpec, PoolingDesign};
 /// use rand::SeedableRng;
 ///
-/// let designs: Vec<Box<dyn PoolingDesign>> =
-///     vec![Box::new(IidDesign), Box::new(DoublyRegularDesign)];
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// for design in &designs {
+/// for design in [DesignSpec::Iid, DesignSpec::DoublyRegular] {
 ///     let graph = design.sample(100, 40, 20, &mut rng);
 ///     assert_eq!(graph.query_count(), 40);
 ///     // The profile's expected per-agent slot count matches the graph.
@@ -556,15 +409,14 @@ pub trait PoolingDesign {
     /// # Panics
     ///
     /// Panics if `n == 0`, `gamma == 0`, or `n > u32::MAX` (designs may add
-    /// scheme-specific constraints, documented on each implementation).
-    fn sample(&self, n: usize, m: usize, gamma: usize, rng: &mut dyn RngCore) -> PoolingGraph;
-}
-
-/// Shared parameter validation for the design implementations.
-fn assert_design_params(n: usize, gamma: usize) {
-    assert!(n > 0, "PoolingDesign::sample: n must be positive");
-    assert!(gamma > 0, "PoolingDesign::sample: gamma must be positive");
-    assert!(n <= u32::MAX as usize, "PoolingDesign::sample: n too large");
+    /// scheme-specific constraints, documented on each variant).
+    fn sample<R: Rng + ?Sized>(
+        &self,
+        n: usize,
+        m: usize,
+        gamma: usize,
+        rng: &mut R,
+    ) -> PoolingGraph;
 }
 
 /// Exact agent degree targeted by the agent-regular designs: `m·Γ/n`
@@ -573,74 +425,217 @@ fn regular_agent_degree(n: usize, m: usize, gamma: usize) -> usize {
     (((m * gamma) as f64 / n as f64).round() as usize).max(1)
 }
 
-/// The paper's design: every slot i.i.d. uniform, multi-edges allowed
-/// (`Sampling::WithReplacement` behind the [`PoolingDesign`] interface).
-///
-/// Query-regular (exactly `Γ` slots per query) but only
-/// *concentration*-regular on the agent side: Lemma 3 of the paper bounds
-/// the degree spread by `ln n·√Δ`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IidDesign;
-
-impl PoolingDesign for IidDesign {
-    fn name(&self) -> &'static str {
-        "iid"
-    }
-
-    fn profile(&self, n: usize, m: usize, gamma: usize) -> DesignProfile {
-        DesignProfile {
-            agent_regular: false,
-            query_regular: true,
-            expected_agent_slots: (m * gamma) as f64 / n as f64,
-            expected_query_slots: gamma as f64,
-        }
-    }
-
-    fn sample(&self, n: usize, m: usize, gamma: usize, rng: &mut dyn RngCore) -> PoolingGraph {
-        let mut rng = rng;
-        PoolingGraph::sample_with(n, m, gamma, Sampling::WithReplacement, &mut rng)
-    }
+/// Band geometry shared by the batch sampler and the incremental
+/// simulation: band `b` of `L` covers `[b·n/L, b·n/L + width)` mod `n`.
+pub(crate) fn band_window(n: usize, bands: usize, band: usize) -> (usize, usize) {
+    let l = bands.clamp(1, n);
+    let start = (band % l) * n / l;
+    let width = (2 * n).div_ceil(l).min(n);
+    (start, width)
 }
 
-/// Exactly doubly regular design: every agent gets *exactly*
-/// `d = round(mΓ/n)` slots and pool sizes are balanced to within one slot,
-/// via a configuration-model pairing with switch repair (the doubly regular
-/// pooling schemes of Hahn-Klimroth, Kaaser & Rau 2023, arXiv:2303.00043).
+/// The name of a pooling design.
 ///
-/// Construction: lay out `n·d` stubs (agent `i` repeated `d` times),
-/// shuffle them, and deal contiguous runs into the `m` pools — sizes
-/// `⌊nd/m⌋` or `⌈nd/m⌉`. A dealt pool can contain an agent twice; switch
-/// repair then exchanges each duplicate slot with a uniformly chosen slot
-/// of another pool whenever the exchange removes the duplicate without
-/// creating new ones (the same repair style as
-/// `npd_netsim::Topology::random_regular`). Switches preserve both agent
-/// degrees and pool sizes, so regularity is exact regardless of how many
-/// repairs run; in the (never observed at feasible densities) event that
-/// the attempt budget is exhausted a residual multi-edge is tolerated.
-///
-/// Note the realized total `n·d` differs from the i.i.d. design's `m·Γ` by
-/// at most `n/2` slots (the rounding of `d`), so pool sizes sit within one
-/// of `nd/m ≈ Γ`.
+/// Configuration types ([`crate::Instance`], [`crate::CategoricalInstance`],
+/// [`crate::IncrementalSim`], the experiment harness's sweep cells and
+/// scenario registry) carry a `DesignSpec`, and its [`PoolingDesign`] impl
+/// samples it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DoublyRegularDesign;
+pub enum DesignSpec {
+    /// The paper's design: every slot i.i.d. uniform, multi-edges allowed.
+    ///
+    /// Query-regular (exactly `Γ` slots per query) but only
+    /// *concentration*-regular on the agent side: Lemma 3 of the paper
+    /// bounds the degree spread by `ln n·√Δ`.
+    #[default]
+    Iid,
+    /// Uniform `Γ`-subset queries: every slot is a distinct agent, so a
+    /// query touches `Γ` distinct agents instead of `≈ γn`. This is the
+    /// classic alternative from the group-testing literature; the ablation
+    /// study (`repro ablations`) quantifies the resulting query savings.
+    /// Requires `Γ ≤ n`.
+    GammaSubset,
+    /// Doubly-balanced allocation: slots are dealt from a rotating
+    /// random-permutation deck that is reshuffled whenever it runs out, so
+    /// after `m` queries every agent has degree `⌊mΓ/n⌋` or `⌈mΓ/n⌉` while
+    /// every query still has exactly `Γ` slots — the *anytime*
+    /// doubly-balanced scheme, degrees within ±1 at every query prefix (the
+    /// constant-column-weight idea of the group-testing literature).
+    ///
+    /// Degree regularity is a double-edged sword here: dealing couples
+    /// queries *within* a deck pass. At sparse query sizes (`Γ ≲ n/8`) the
+    /// coupling is mild and the design measurably beats the paper's
+    /// independent sampling under noise, but at the paper's dense `Γ = n/2`
+    /// each pass deals two exactly complementary queries whose results are
+    /// perfectly anti-correlated, inflating the score fluctuations of the
+    /// maximum-neighborhood rule — `repro designs` quantifies both regimes.
+    BalancedDeck,
+    /// Exactly doubly regular design: every agent gets *exactly*
+    /// `d = round(mΓ/n)` slots and pool sizes are balanced to within one
+    /// slot, via a configuration-model pairing with switch repair (the
+    /// doubly regular pooling schemes of Hahn-Klimroth, Kaaser & Rau 2023,
+    /// arXiv:2303.00043).
+    ///
+    /// Construction: lay out `n·d` stubs (agent `i` repeated `d` times),
+    /// shuffle them, and deal contiguous runs into the `m` pools — sizes
+    /// `⌊nd/m⌋` or `⌈nd/m⌉`. A dealt pool can contain an agent twice;
+    /// switch repair then exchanges each duplicate slot with a uniformly
+    /// chosen slot of another pool whenever the exchange removes the
+    /// duplicate without creating new ones (the same repair style as
+    /// `npd_netsim::Topology::random_regular`). Switches preserve both
+    /// agent degrees and pool sizes, so regularity is exact regardless of
+    /// how many repairs run; in the (never observed at feasible densities)
+    /// event that the attempt budget is exhausted a residual multi-edge is
+    /// tolerated.
+    ///
+    /// Note the realized total `n·d` differs from the i.i.d. design's `m·Γ`
+    /// by at most `n/2` slots (the rounding of `d`), so pool sizes sit
+    /// within one of `nd/m ≈ Γ`.
+    DoublyRegular,
+    /// Sparse constant-column design: every agent joins *exactly*
+    /// `d = round(mΓ/n)` distinct pools chosen uniformly at random, with no
+    /// constraint on pool sizes.
+    ///
+    /// This is the classic (near-)constant tests-per-item design of the
+    /// group testing literature, intended for the sparse regime `θ < 1/2`
+    /// where the informative query size is far below the paper's `Γ = n/2`
+    /// (see the sparse-regime constructions of arXiv:2312.14588). Pool
+    /// sizes are sums of independent Bernoulli(`d/m`) indicators —
+    /// multinomial-tight around `nd/m ≈ Γ` but not balanced.
+    SparseColumn,
+    /// Spatially-coupled (banded) design: queries cycle through `L` bands
+    /// laid out along the agent axis, each drawing its `Γ` slots i.i.d.
+    /// from a window of width `≈ 2n/L` starting at the band's offset
+    /// (wrapping at `n`).
+    ///
+    /// Consecutive bands overlap by half a window, so information "couples"
+    /// across the agent axis the way spatially-coupled sensing matrices do
+    /// in compressed sensing; the resulting biadjacency matrix is
+    /// block-banded after sorting queries by band, giving each query node
+    /// locality (it only ever contacts a window of agents). With
+    /// `bands == 1` the window is the whole population and the design
+    /// degenerates to [`DesignSpec::Iid`].
+    ///
+    /// **Decoding caveat (measured, not hypothetical):** banding
+    /// deliberately breaks the exchangeability that both the greedy rule's
+    /// centering (Lemma 7 averages over a *uniform* second neighborhood)
+    /// and vanilla AMP's i.i.d.-matrix assumption rest on. Conditional on
+    /// the truth, a zero-agent whose windows are locally rich in one-agents
+    /// out-scores an isolated one-agent *in expectation*, so exact recovery
+    /// by any global top-`k` score rule fails persistently at strong
+    /// coupling; recovery degrades gracefully as `L` shrinks. The scenario
+    /// registry measures the surviving *overlap* instead of exact recovery
+    /// for this design, and a block-aware SC-AMP (per-band state evolution)
+    /// is the intended future consumer of the structure.
+    SpatiallyCoupled {
+        /// Number of bands `L` (clamped into `[1, n]` at sampling time).
+        bands: usize,
+    },
+}
 
-impl PoolingDesign for DoublyRegularDesign {
-    fn name(&self) -> &'static str {
-        "doubly-regular"
+impl DesignSpec {
+    /// The spatially-coupled spec the experiment harness uses: `L = 4`
+    /// bands, i.e. windows of `n/2` with half-window overlap — strong
+    /// enough banding to expose the structure, weak enough that global
+    /// decoders retain most of their overlap.
+    pub fn spatially_coupled() -> Self {
+        DesignSpec::SpatiallyCoupled { bands: 4 }
     }
 
-    fn profile(&self, n: usize, m: usize, gamma: usize) -> DesignProfile {
-        let d = regular_agent_degree(n, m, gamma);
-        DesignProfile {
-            agent_regular: true,
-            query_regular: (n * d).is_multiple_of(m.max(1)),
-            expected_agent_slots: d as f64,
-            expected_query_slots: (n * d) as f64 / m.max(1) as f64,
+    /// Parses the stable [`name`](PoolingDesign::name) form (`"iid"`,
+    /// `"doubly-regular"`, …) back into a spec; parametrized designs get
+    /// their defaults (`"spatially-coupled"` →
+    /// [`DesignSpec::spatially_coupled`]). Note this is the `name()` form,
+    /// not the parametrized `Display` form.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "iid" => Some(DesignSpec::Iid),
+            "gamma-subset" => Some(DesignSpec::GammaSubset),
+            "balanced-deck" => Some(DesignSpec::BalancedDeck),
+            "doubly-regular" => Some(DesignSpec::DoublyRegular),
+            "sparse-column" => Some(DesignSpec::SparseColumn),
+            "spatially-coupled" => Some(DesignSpec::spatially_coupled()),
+            _ => None,
         }
     }
 
-    fn sample(&self, n: usize, m: usize, gamma: usize, rng: &mut dyn RngCore) -> PoolingGraph {
-        assert_design_params(n, gamma);
+    /// Checks the constraint this design puts on `(n, Γ)`: a `Γ`-subset
+    /// query draws `Γ` distinct agents, so it needs `Γ ≤ n`.
+    pub(crate) fn check(&self, n: usize, gamma: usize) -> Result<(), InstanceError> {
+        if *self == DesignSpec::GammaSubset && gamma > n {
+            return Err(InstanceError::QueryLargerThanPopulation { gamma, n });
+        }
+        Ok(())
+    }
+
+    /// The paper's i.i.d. sampler: `m` queries of `gamma` uniform slots
+    /// each, drawn with replacement.
+    fn sample_iid<R: Rng + ?Sized>(n: usize, m: usize, gamma: usize, rng: &mut R) -> PoolingGraph {
+        let queries = (0..m)
+            .map(|_| {
+                let slots: Vec<u32> = (0..gamma).map(|_| rng.gen_range(0..n as u32)).collect();
+                QueryMultiset::from_slots(slots)
+            })
+            .collect();
+        PoolingGraph { n, gamma, queries }
+    }
+
+    /// Uniform `Γ`-subset queries via a reusable partial Fisher–Yates:
+    /// after each query the array is still a permutation, so the next draw
+    /// stays uniform.
+    fn sample_subsets<R: Rng + ?Sized>(
+        n: usize,
+        m: usize,
+        gamma: usize,
+        rng: &mut R,
+    ) -> PoolingGraph {
+        let mut idx: Vec<u32> = (0..n as u32).collect();
+        let queries = (0..m)
+            .map(|_| {
+                for i in 0..gamma {
+                    let j = rng.gen_range(i..n);
+                    idx.swap(i, j);
+                }
+                QueryMultiset::from_slots(idx[..gamma].to_vec())
+            })
+            .collect();
+        PoolingGraph { n, gamma, queries }
+    }
+
+    /// Rotating-deck queries: deal `Γ` slots per query, reshuffling the
+    /// full permutation whenever it runs out, so agent degrees stay within
+    /// one of each other at every prefix of the query sequence.
+    fn sample_deck<R: Rng + ?Sized>(n: usize, m: usize, gamma: usize, rng: &mut R) -> PoolingGraph {
+        let mut deck: Vec<u32> = (0..n as u32).collect();
+        let mut pos = n; // empty deck forces the initial shuffle
+        let queries = (0..m)
+            .map(|_| {
+                let mut slots = Vec::with_capacity(gamma);
+                for _ in 0..gamma {
+                    if pos == n {
+                        for i in (1..n).rev() {
+                            let j = rng.gen_range(0..=i);
+                            deck.swap(i, j);
+                        }
+                        pos = 0;
+                    }
+                    slots.push(deck[pos]);
+                    pos += 1;
+                }
+                QueryMultiset::from_slots(slots)
+            })
+            .collect();
+        PoolingGraph { n, gamma, queries }
+    }
+
+    /// The configuration model with switch repair of
+    /// [`DesignSpec::DoublyRegular`].
+    fn sample_doubly_regular<R: Rng + ?Sized>(
+        n: usize,
+        m: usize,
+        gamma: usize,
+        rng: &mut R,
+    ) -> PoolingGraph {
         if m == 0 {
             return PoolingGraph::from_ragged_slot_lists(n, gamma, Vec::new());
         }
@@ -748,38 +743,15 @@ impl PoolingDesign for DoublyRegularDesign {
         }
         PoolingGraph::from_ragged_slot_lists(n, gamma, pools)
     }
-}
 
-/// Sparse constant-column design: every agent joins *exactly*
-/// `d = round(mΓ/n)` distinct pools chosen uniformly at random, with no
-/// constraint on pool sizes.
-///
-/// This is the classic (near-)constant tests-per-item design of the group
-/// testing literature, intended for the sparse regime `θ < 1/2` where the
-/// informative query size is far below the paper's `Γ = n/2` (see the
-/// sparse-regime constructions of arXiv:2312.14588). Pool sizes are sums of
-/// independent Bernoulli(`d/m`) indicators — multinomial-tight around
-/// `nd/m ≈ Γ` but not balanced.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SparseColumnDesign;
-
-impl PoolingDesign for SparseColumnDesign {
-    fn name(&self) -> &'static str {
-        "sparse-column"
-    }
-
-    fn profile(&self, n: usize, m: usize, gamma: usize) -> DesignProfile {
-        let d = regular_agent_degree(n, m, gamma).min(m.max(1));
-        DesignProfile {
-            agent_regular: true,
-            query_regular: false,
-            expected_agent_slots: d as f64,
-            expected_query_slots: (n * d) as f64 / m.max(1) as f64,
-        }
-    }
-
-    fn sample(&self, n: usize, m: usize, gamma: usize, rng: &mut dyn RngCore) -> PoolingGraph {
-        assert_design_params(n, gamma);
+    /// Uniform `d`-subsets of pools per agent for
+    /// [`DesignSpec::SparseColumn`].
+    fn sample_sparse_column<R: Rng + ?Sized>(
+        n: usize,
+        m: usize,
+        gamma: usize,
+        rng: &mut R,
+    ) -> PoolingGraph {
         if m == 0 {
             return PoolingGraph::from_ragged_slot_lists(n, gamma, Vec::new());
         }
@@ -799,168 +771,24 @@ impl PoolingDesign for SparseColumnDesign {
         }
         PoolingGraph::from_ragged_slot_lists(n, gamma, pools)
     }
-}
 
-/// Spatially-coupled (banded) design: queries cycle through `L` bands laid
-/// out along the agent axis, each drawing its `Γ` slots i.i.d. from a
-/// window of width `≈ 2n/L` starting at the band's offset (wrapping at
-/// `n`).
-///
-/// Consecutive bands overlap by half a window, so information "couples"
-/// across the agent axis the way spatially-coupled sensing matrices do in
-/// compressed sensing; the resulting biadjacency matrix is block-banded
-/// after sorting queries by band, giving each query node locality (it only
-/// ever contacts a window of agents). With `bands == 1` the window is the
-/// whole population and the design degenerates to [`IidDesign`].
-///
-/// **Decoding caveat (measured, not hypothetical):** banding deliberately
-/// breaks the exchangeability that both the greedy rule's centering
-/// (Lemma 7 averages over a *uniform* second neighborhood) and vanilla
-/// AMP's i.i.d.-matrix assumption rest on. Conditional on the truth, a
-/// zero-agent whose windows are locally rich in one-agents out-scores an
-/// isolated one-agent *in expectation*, so exact recovery by any global
-/// top-`k` score rule fails persistently at strong coupling; recovery
-/// degrades gracefully as `L` shrinks. The scenario registry measures the
-/// surviving *overlap* instead of exact recovery for this design, and a
-/// block-aware SC-AMP (per-band state evolution) is the intended future
-/// consumer of the structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpatiallyCoupledDesign {
-    /// Number of bands `L` (clamped into `[1, n]` at sampling time).
-    pub bands: usize,
-}
-
-impl SpatiallyCoupledDesign {
-    /// The default band count used by the experiment harness: windows of
-    /// `n/2` with half-window overlap — strong enough banding to expose
-    /// the structure, weak enough that global decoders retain most of
-    /// their overlap.
-    pub const DEFAULT_BANDS: usize = 4;
-}
-
-impl Default for SpatiallyCoupledDesign {
-    fn default() -> Self {
-        Self {
-            bands: Self::DEFAULT_BANDS,
-        }
-    }
-}
-
-/// Band geometry shared by the batch sampler and the incremental
-/// simulation: band `b` of `L` covers `[b·n/L, b·n/L + width)` mod `n`.
-pub(crate) fn band_window(n: usize, bands: usize, band: usize) -> (usize, usize) {
-    let l = bands.clamp(1, n);
-    let start = (band % l) * n / l;
-    let width = (2 * n).div_ceil(l).min(n);
-    (start, width)
-}
-
-impl PoolingDesign for SpatiallyCoupledDesign {
-    fn name(&self) -> &'static str {
-        "spatially-coupled"
-    }
-
-    fn profile(&self, n: usize, m: usize, gamma: usize) -> DesignProfile {
-        DesignProfile {
-            agent_regular: false,
-            query_regular: true,
-            expected_agent_slots: (m * gamma) as f64 / n as f64,
-            expected_query_slots: gamma as f64,
-        }
-    }
-
-    fn sample(&self, n: usize, m: usize, gamma: usize, rng: &mut dyn RngCore) -> PoolingGraph {
-        assert_design_params(n, gamma);
+    /// Band-cycling windowed draws for [`DesignSpec::SpatiallyCoupled`].
+    fn sample_banded<R: Rng + ?Sized>(
+        n: usize,
+        m: usize,
+        gamma: usize,
+        bands: usize,
+        rng: &mut R,
+    ) -> PoolingGraph {
         let pools: Vec<Vec<u32>> = (0..m)
             .map(|j| {
-                let (start, width) = band_window(n, self.bands, j);
+                let (start, width) = band_window(n, bands, j);
                 (0..gamma)
                     .map(|_| ((start + rng.gen_range(0..width)) % n) as u32)
                     .collect()
             })
             .collect();
         PoolingGraph::from_ragged_slot_lists(n, gamma, pools)
-    }
-}
-
-/// A copyable, serializable name for a pooling design.
-///
-/// Configuration types ([`crate::Instance`], the experiment harness's sweep
-/// cells and scenario registry) carry a `DesignSpec`; it implements
-/// [`PoolingDesign`] itself by delegating to the named scheme, so it can be
-/// used anywhere a design is expected.
-///
-/// The first three variants are the legacy [`Sampling`] schemes (kept so
-/// the paper's exact sampler remains reachable and bit-identical); the rest
-/// are the structured designs of this module.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DesignSpec {
-    /// The paper's i.i.d. multigraph ([`IidDesign`],
-    /// [`Sampling::WithReplacement`]).
-    #[default]
-    Iid,
-    /// Uniform `Γ`-subset queries ([`Sampling::WithoutReplacement`]).
-    GammaSubset,
-    /// Rotating-deck balanced allocation ([`Sampling::Balanced`]): the
-    /// *anytime* doubly-balanced scheme, degrees within ±1 at every query
-    /// prefix.
-    BalancedDeck,
-    /// Exactly doubly regular batch construction
-    /// ([`DoublyRegularDesign`]).
-    DoublyRegular,
-    /// Sparse constant-column-weight design ([`SparseColumnDesign`]).
-    SparseColumn,
-    /// Banded/spatially-coupled design ([`SpatiallyCoupledDesign`]).
-    SpatiallyCoupled {
-        /// Number of bands `L`.
-        bands: usize,
-    },
-}
-
-impl DesignSpec {
-    /// The default spatially-coupled spec
-    /// (`L =` [`SpatiallyCoupledDesign::DEFAULT_BANDS`]).
-    pub fn spatially_coupled() -> Self {
-        DesignSpec::SpatiallyCoupled {
-            bands: SpatiallyCoupledDesign::DEFAULT_BANDS,
-        }
-    }
-
-    /// The legacy [`Sampling`] scheme this spec corresponds to, if any.
-    pub fn legacy_sampling(&self) -> Option<Sampling> {
-        match self {
-            DesignSpec::Iid => Some(Sampling::WithReplacement),
-            DesignSpec::GammaSubset => Some(Sampling::WithoutReplacement),
-            DesignSpec::BalancedDeck => Some(Sampling::Balanced),
-            _ => None,
-        }
-    }
-
-    /// Parses the stable [`name`](PoolingDesign::name) form (`"iid"`,
-    /// `"doubly-regular"`, …) back into a spec; parametrized designs get
-    /// their defaults (`"spatially-coupled"` →
-    /// [`DesignSpec::spatially_coupled`]). Note this is the `name()` form,
-    /// not the parametrized `Display` form.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "iid" => Some(DesignSpec::Iid),
-            "gamma-subset" => Some(DesignSpec::GammaSubset),
-            "balanced-deck" => Some(DesignSpec::BalancedDeck),
-            "doubly-regular" => Some(DesignSpec::DoublyRegular),
-            "sparse-column" => Some(DesignSpec::SparseColumn),
-            "spatially-coupled" => Some(DesignSpec::spatially_coupled()),
-            _ => None,
-        }
-    }
-}
-
-impl From<Sampling> for DesignSpec {
-    fn from(s: Sampling) -> Self {
-        match s {
-            Sampling::WithReplacement => DesignSpec::Iid,
-            Sampling::WithoutReplacement => DesignSpec::GammaSubset,
-            Sampling::Balanced => DesignSpec::BalancedDeck,
-        }
     }
 }
 
@@ -983,54 +811,77 @@ impl PoolingDesign for DesignSpec {
             DesignSpec::Iid => "iid",
             DesignSpec::GammaSubset => "gamma-subset",
             DesignSpec::BalancedDeck => "balanced-deck",
-            DesignSpec::DoublyRegular => DoublyRegularDesign.name(),
-            DesignSpec::SparseColumn => SparseColumnDesign.name(),
+            DesignSpec::DoublyRegular => "doubly-regular",
+            DesignSpec::SparseColumn => "sparse-column",
             DesignSpec::SpatiallyCoupled { .. } => "spatially-coupled",
         }
     }
 
     fn profile(&self, n: usize, m: usize, gamma: usize) -> DesignProfile {
+        let query_regular = DesignProfile {
+            agent_regular: false,
+            query_regular: true,
+            expected_agent_slots: (m * gamma) as f64 / n as f64,
+            expected_query_slots: gamma as f64,
+        };
         match *self {
-            DesignSpec::Iid => IidDesign.profile(n, m, gamma),
-            DesignSpec::GammaSubset => DesignProfile {
-                agent_regular: false,
-                query_regular: true,
-                expected_agent_slots: (m * gamma) as f64 / n as f64,
-                expected_query_slots: gamma as f64,
-            },
+            DesignSpec::Iid | DesignSpec::GammaSubset | DesignSpec::SpatiallyCoupled { .. } => {
+                query_regular
+            }
+            // Deck dealing keeps degrees within ±1 (not exactly equal
+            // unless mΓ divides n).
             DesignSpec::BalancedDeck => DesignProfile {
-                // Deck dealing keeps degrees within ±1 (not exactly equal
-                // unless mΓ divides n).
                 agent_regular: (m * gamma).is_multiple_of(n),
-                query_regular: true,
-                expected_agent_slots: (m * gamma) as f64 / n as f64,
-                expected_query_slots: gamma as f64,
+                ..query_regular
             },
-            DesignSpec::DoublyRegular => DoublyRegularDesign.profile(n, m, gamma),
-            DesignSpec::SparseColumn => SparseColumnDesign.profile(n, m, gamma),
-            DesignSpec::SpatiallyCoupled { bands } => {
-                SpatiallyCoupledDesign { bands }.profile(n, m, gamma)
+            DesignSpec::DoublyRegular => {
+                let d = regular_agent_degree(n, m, gamma);
+                DesignProfile {
+                    agent_regular: true,
+                    query_regular: (n * d).is_multiple_of(m.max(1)),
+                    expected_agent_slots: d as f64,
+                    expected_query_slots: (n * d) as f64 / m.max(1) as f64,
+                }
+            }
+            DesignSpec::SparseColumn => {
+                let d = regular_agent_degree(n, m, gamma).min(m.max(1));
+                DesignProfile {
+                    agent_regular: true,
+                    query_regular: false,
+                    expected_agent_slots: d as f64,
+                    expected_query_slots: (n * d) as f64 / m.max(1) as f64,
+                }
             }
         }
     }
 
-    fn sample(&self, n: usize, m: usize, gamma: usize, rng: &mut dyn RngCore) -> PoolingGraph {
-        let mut r = rng;
+    /// # Panics
+    ///
+    /// Panics if `n == 0`, `gamma == 0`, `n > u32::MAX`, or (for
+    /// [`DesignSpec::GammaSubset`]) `gamma > n`.
+    fn sample<R: Rng + ?Sized>(
+        &self,
+        n: usize,
+        m: usize,
+        gamma: usize,
+        rng: &mut R,
+    ) -> PoolingGraph {
+        assert!(n > 0, "DesignSpec::sample: n must be positive");
+        assert!(gamma > 0, "DesignSpec::sample: gamma must be positive");
+        assert!(n <= u32::MAX as usize, "DesignSpec::sample: n too large");
         match *self {
-            DesignSpec::Iid => {
-                PoolingGraph::sample_with(n, m, gamma, Sampling::WithReplacement, &mut r)
-            }
+            DesignSpec::Iid => Self::sample_iid(n, m, gamma, rng),
             DesignSpec::GammaSubset => {
-                PoolingGraph::sample_with(n, m, gamma, Sampling::WithoutReplacement, &mut r)
+                assert!(
+                    self.check(n, gamma).is_ok(),
+                    "DesignSpec::sample: gamma={gamma} exceeds n={n} without replacement"
+                );
+                Self::sample_subsets(n, m, gamma, rng)
             }
-            DesignSpec::BalancedDeck => {
-                PoolingGraph::sample_with(n, m, gamma, Sampling::Balanced, &mut r)
-            }
-            DesignSpec::DoublyRegular => DoublyRegularDesign.sample(n, m, gamma, r),
-            DesignSpec::SparseColumn => SparseColumnDesign.sample(n, m, gamma, r),
-            DesignSpec::SpatiallyCoupled { bands } => {
-                SpatiallyCoupledDesign { bands }.sample(n, m, gamma, r)
-            }
+            DesignSpec::BalancedDeck => Self::sample_deck(n, m, gamma, rng),
+            DesignSpec::DoublyRegular => Self::sample_doubly_regular(n, m, gamma, rng),
+            DesignSpec::SparseColumn => Self::sample_sparse_column(n, m, gamma, rng),
+            DesignSpec::SpatiallyCoupled { bands } => Self::sample_banded(n, m, gamma, bands, rng),
         }
     }
 }
@@ -1083,7 +934,7 @@ mod tests {
     fn balanced_design_equalizes_degrees() {
         let mut rng = StdRng::seed_from_u64(7);
         let (n, m, gamma) = (60, 13, 25);
-        let g = PoolingGraph::sample_with(n, m, gamma, Sampling::Balanced, &mut rng);
+        let g = DesignSpec::BalancedDeck.sample(n, m, gamma, &mut rng);
         for q in g.queries() {
             assert_eq!(q.total_slots() as usize, gamma);
         }
@@ -1103,7 +954,7 @@ mod tests {
     fn balanced_design_allows_gamma_above_n() {
         // Γ > n simply deals multiple full decks into one query.
         let mut rng = StdRng::seed_from_u64(8);
-        let g = PoolingGraph::sample_with(10, 3, 25, Sampling::Balanced, &mut rng);
+        let g = DesignSpec::BalancedDeck.sample(10, 3, 25, &mut rng);
         for q in g.queries() {
             assert_eq!(q.total_slots(), 25);
         }
@@ -1117,7 +968,7 @@ mod tests {
         // Within one deck pass all slots are distinct; a query of Γ ≤ n
         // slots can contain an agent at most twice.
         let mut rng = StdRng::seed_from_u64(9);
-        let g = PoolingGraph::sample_with(50, 40, 25, Sampling::Balanced, &mut rng);
+        let g = DesignSpec::BalancedDeck.sample(50, 40, 25, &mut rng);
         for q in g.queries() {
             for (_, c) in q.iter() {
                 assert!(c <= 2);
@@ -1235,7 +1086,7 @@ mod tests {
     #[test]
     fn without_replacement_slots_are_distinct() {
         let mut rng = StdRng::seed_from_u64(9);
-        let g = PoolingGraph::sample_with(50, 20, 25, Sampling::WithoutReplacement, &mut rng);
+        let g = DesignSpec::GammaSubset.sample(50, 20, 25, &mut rng);
         for q in g.queries() {
             assert_eq!(q.distinct_len(), 25);
             assert!(q.iter().all(|(_, c)| c == 1));
@@ -1252,7 +1103,7 @@ mod tests {
         // Each agent appears in a query with probability Γ/n exactly.
         let mut rng = StdRng::seed_from_u64(10);
         let (n, m, gamma) = (40usize, 2_000usize, 20usize);
-        let g = PoolingGraph::sample_with(n, m, gamma, Sampling::WithoutReplacement, &mut rng);
+        let g = DesignSpec::GammaSubset.sample(n, m, gamma, &mut rng);
         let expected = m as f64 * gamma as f64 / n as f64;
         for (i, &d) in g.distinct_degrees().iter().enumerate() {
             assert!(
@@ -1266,12 +1117,7 @@ mod tests {
     #[should_panic(expected = "exceeds n")]
     fn without_replacement_rejects_oversized_query() {
         let mut rng = StdRng::seed_from_u64(0);
-        PoolingGraph::sample_with(5, 1, 6, Sampling::WithoutReplacement, &mut rng);
-    }
-
-    #[test]
-    fn sampling_default_is_with_replacement() {
-        assert_eq!(Sampling::default(), Sampling::WithReplacement);
+        DesignSpec::GammaSubset.sample(5, 1, 6, &mut rng);
     }
 
     #[test]
@@ -1307,21 +1153,11 @@ mod tests {
 
     #[test]
     fn iid_design_is_bit_identical_to_legacy_sampler() {
-        // The refactor moved the paper's sampler behind `PoolingDesign`;
-        // the trait path and the original `PoolingGraph::sample` must
-        // consume the identical RNG stream.
-        for seed in [0u64, 1, 42, 0xDEAD] {
-            let legacy = PoolingGraph::sample(257, 31, 128, &mut StdRng::seed_from_u64(seed));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let via_trait = IidDesign.sample(257, 31, 128, &mut rng);
-            assert_eq!(legacy, via_trait, "seed={seed}");
-            let mut rng = StdRng::seed_from_u64(seed);
-            let via_spec = DesignSpec::Iid.sample(257, 31, 128, &mut rng);
-            assert_eq!(legacy, via_spec, "seed={seed}");
-        }
-        // And the stream itself is pinned: any change to the sampler's RNG
-        // call sequence (not just to the refactoring) fails here.
+        // The paper's sampler is pinned: any change to its RNG call
+        // sequence fails here, whichever name it is reached through.
         let g = PoolingGraph::sample(100, 20, 50, &mut StdRng::seed_from_u64(12345));
+        assert_eq!(graph_fingerprint(&g), IID_FINGERPRINT);
+        let g = DesignSpec::Iid.sample(100, 20, 50, &mut StdRng::seed_from_u64(12345));
         assert_eq!(graph_fingerprint(&g), IID_FINGERPRINT);
     }
 
@@ -1333,7 +1169,7 @@ mod tests {
     fn doubly_regular_is_exactly_regular_and_balanced() {
         let mut rng = StdRng::seed_from_u64(3);
         let (n, m, gamma) = (120usize, 37usize, 45usize);
-        let g = DoublyRegularDesign.sample(n, m, gamma, &mut rng);
+        let g = DesignSpec::DoublyRegular.sample(n, m, gamma, &mut rng);
         let d = (m as f64 * gamma as f64 / n as f64).round() as u64;
         for (i, &deg) in g.multi_degrees().iter().enumerate() {
             assert_eq!(deg, d, "agent {i}");
@@ -1352,7 +1188,7 @@ mod tests {
     fn sparse_column_has_exact_column_weight() {
         let mut rng = StdRng::seed_from_u64(4);
         let (n, m, gamma) = (200usize, 64usize, 25usize);
-        let g = SparseColumnDesign.sample(n, m, gamma, &mut rng);
+        let g = DesignSpec::SparseColumn.sample(n, m, gamma, &mut rng);
         let d = ((m * gamma) as f64 / n as f64).round() as u64;
         for (i, &deg) in g.multi_degrees().iter().enumerate() {
             assert_eq!(deg, d, "agent {i}");
@@ -1367,7 +1203,7 @@ mod tests {
     fn spatially_coupled_is_query_regular_and_banded() {
         let mut rng = StdRng::seed_from_u64(5);
         let (n, m, gamma, bands) = (160usize, 48usize, 40usize, 8usize);
-        let g = SpatiallyCoupledDesign { bands }.sample(n, m, gamma, &mut rng);
+        let g = DesignSpec::SpatiallyCoupled { bands }.sample(n, m, gamma, &mut rng);
         for (j, q) in g.queries().iter().enumerate() {
             assert_eq!(q.total_slots() as usize, gamma);
             // Every slot lies inside the query's band window.
@@ -1385,7 +1221,7 @@ mod tests {
     #[test]
     fn spatially_coupled_single_band_degenerates_to_iid_support() {
         let mut rng = StdRng::seed_from_u64(6);
-        let g = SpatiallyCoupledDesign { bands: 1 }.sample(50, 10, 25, &mut rng);
+        let g = DesignSpec::SpatiallyCoupled { bands: 1 }.sample(50, 10, 25, &mut rng);
         let (start, width) = band_window(50, 1, 0);
         assert_eq!((start, width), (0, 50));
         assert_eq!(g.query_count(), 10);
@@ -1414,25 +1250,13 @@ mod tests {
     }
 
     #[test]
-    fn design_spec_legacy_sampling_roundtrip() {
-        for s in [
-            Sampling::WithReplacement,
-            Sampling::WithoutReplacement,
-            Sampling::Balanced,
-        ] {
-            assert_eq!(DesignSpec::from(s).legacy_sampling(), Some(s));
-        }
-        assert_eq!(DesignSpec::DoublyRegular.legacy_sampling(), None);
-    }
-
-    #[test]
     fn design_profiles_are_consistent_with_samples() {
         let (n, m, gamma) = (90usize, 30usize, 30usize);
-        let designs: Vec<Box<dyn PoolingDesign>> = vec![
-            Box::new(IidDesign),
-            Box::new(DoublyRegularDesign),
-            Box::new(SparseColumnDesign),
-            Box::new(SpatiallyCoupledDesign::default()),
+        let designs = [
+            DesignSpec::Iid,
+            DesignSpec::DoublyRegular,
+            DesignSpec::SparseColumn,
+            DesignSpec::spatially_coupled(),
         ];
         for (di, design) in designs.iter().enumerate() {
             let profile = design.profile(n, m, gamma);
@@ -1520,12 +1344,12 @@ mod tests {
             ) {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let gamma = (n / 2).max(1);
-                let sampling = if without {
-                    Sampling::WithoutReplacement
+                let design = if without {
+                    DesignSpec::GammaSubset
                 } else {
-                    Sampling::WithReplacement
+                    DesignSpec::Iid
                 };
-                let g = PoolingGraph::sample_with(n, m, gamma, sampling, &mut rng);
+                let g = design.sample(n, m, gamma, &mut rng);
                 for q in g.queries() {
                     prop_assert_eq!(q.total_slots() as usize, gamma);
                     if without {
@@ -1547,7 +1371,7 @@ mod tests {
             ) {
                 let gamma = (n / gamma_frac).max(1);
                 let mut rng = StdRng::seed_from_u64(seed);
-                let g = DoublyRegularDesign.sample(n, m, gamma, &mut rng);
+                let g = DesignSpec::DoublyRegular.sample(n, m, gamma, &mut rng);
                 let d = ((m * gamma) as f64 / n as f64).round().max(1.0) as u64;
                 for &deg in &g.multi_degrees() {
                     prop_assert_eq!(deg, d);
@@ -1574,7 +1398,7 @@ mod tests {
             ) {
                 let gamma = (n / gamma_frac).max(1);
                 let mut rng = StdRng::seed_from_u64(seed);
-                let g = SparseColumnDesign.sample(n, m, gamma, &mut rng);
+                let g = DesignSpec::SparseColumn.sample(n, m, gamma, &mut rng);
                 let d = (((m * gamma) as f64 / n as f64).round().max(1.0) as u64)
                     .min(m as u64);
                 for &deg in &g.multi_degrees() {

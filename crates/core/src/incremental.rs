@@ -11,7 +11,7 @@
 //! per-agent accumulators and is then forgotten. This is what makes the
 //! `n = 10⁵` sweeps of Figures 2–5 tractable.
 
-use crate::design::{band_window, DesignSpec, Sampling};
+use crate::design::{band_window, DesignSpec};
 use crate::greedy::ScoreAccumulator;
 use crate::model::GroundTruth;
 use crate::noise::NoiseModel;
@@ -130,34 +130,7 @@ impl IncrementalSim {
     ///
     /// Panics if `n < 2` or `k` is not in `[1, n]`.
     pub fn new(n: usize, k: usize, noise: NoiseModel, seed: u64) -> Self {
-        Self::with_query_size(n, k, n / 2, noise, seed)
-    }
-
-    /// Creates a simulation with an explicit query size `Γ`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`, `k ∉ [1, n]`, or `gamma == 0`.
-    pub fn with_query_size(n: usize, k: usize, gamma: usize, noise: NoiseModel, seed: u64) -> Self {
-        Self::with_options(n, k, gamma, noise, Sampling::WithReplacement, seed)
-    }
-
-    /// Creates a simulation with an explicit query size and sampling
-    /// scheme.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`, `k ∉ [1, n]`, `gamma == 0`, or (without
-    /// replacement) `gamma > n`.
-    pub fn with_options(
-        n: usize,
-        k: usize,
-        gamma: usize,
-        noise: NoiseModel,
-        sampling: Sampling,
-        seed: u64,
-    ) -> Self {
-        Self::with_design(n, k, gamma, noise, DesignSpec::from(sampling), seed)
+        Self::with_design(n, k, n / 2, noise, DesignSpec::Iid, seed)
     }
 
     /// Creates a simulation with an explicit query size and pooling design.
@@ -263,13 +236,11 @@ impl IncrementalSim {
         let k = truth.k();
         assert!(n >= 2, "IncrementalSim: n={n} must be at least 2");
         assert!(gamma > 0, "IncrementalSim: gamma must be positive");
+        assert!(
+            design.check(n, gamma).is_ok(),
+            "IncrementalSim: gamma={gamma} exceeds n={n} without replacement"
+        );
         let sampler = SamplerKind::for_design(design);
-        if sampler == SamplerKind::Subset {
-            assert!(
-                gamma <= n,
-                "IncrementalSim: gamma={gamma} exceeds n={n} without replacement"
-            );
-        }
         let slot_rate = crate::greedy::second_neighborhood_rate(n, k, &noise);
         let perm = match sampler {
             SamplerKind::Iid | SamplerKind::Banded { .. } => Vec::new(),
@@ -612,7 +583,8 @@ mod tests {
 
     #[test]
     fn custom_query_size_is_respected() {
-        let mut sim = IncrementalSim::with_query_size(100, 2, 10, NoiseModel::Noiseless, 11);
+        let mut sim =
+            IncrementalSim::with_design(100, 2, 10, NoiseModel::Noiseless, DesignSpec::Iid, 11);
         sim.add_query();
         let total: u32 = (0..100).map(|i| sim.distinct_degree(i)).sum();
         assert!(total <= 10);
@@ -629,16 +601,15 @@ mod tests {
         // A Γ-subset query touches Γ = n/2 distinct agents instead of
         // ≈ 0.39·n, so information accrues faster; the ablation behind
         // `repro ablations`. Compare medians over 5 seeds.
-        use crate::design::Sampling;
-        let median_for = |sampling: Sampling| {
+        let median_for = |design: DesignSpec| {
             let mut xs: Vec<usize> = (0..5)
                 .map(|seed| {
-                    let mut sim = IncrementalSim::with_options(
+                    let mut sim = IncrementalSim::with_design(
                         600,
                         5,
                         300,
                         NoiseModel::z_channel(0.1),
-                        sampling,
+                        design,
                         700 + seed,
                     );
                     sim.required_queries(20_000).expect("separates").queries
@@ -647,8 +618,8 @@ mod tests {
             xs.sort_unstable();
             xs[2]
         };
-        let with = median_for(Sampling::WithReplacement);
-        let without = median_for(Sampling::WithoutReplacement);
+        let with = median_for(DesignSpec::Iid);
+        let without = median_for(DesignSpec::GammaSubset);
         assert!(
             without < with,
             "without-replacement median {without} not below with-replacement {with}"
@@ -657,13 +628,12 @@ mod tests {
 
     #[test]
     fn without_replacement_multi_equals_distinct() {
-        use crate::design::Sampling;
-        let mut sim = IncrementalSim::with_options(
+        let mut sim = IncrementalSim::with_design(
             100,
             3,
             50,
             NoiseModel::Noiseless,
-            Sampling::WithoutReplacement,
+            DesignSpec::GammaSubset,
             3,
         );
         for _ in 0..10 {
@@ -676,8 +646,14 @@ mod tests {
 
     #[test]
     fn balanced_sampling_keeps_degrees_within_one() {
-        let mut sim =
-            IncrementalSim::with_options(60, 4, 25, NoiseModel::Noiseless, Sampling::Balanced, 42);
+        let mut sim = IncrementalSim::with_design(
+            60,
+            4,
+            25,
+            NoiseModel::Noiseless,
+            DesignSpec::BalancedDeck,
+            42,
+        );
         for _ in 0..13 {
             sim.add_query();
         }
@@ -736,12 +712,12 @@ mod tests {
 
     #[test]
     fn balanced_sampling_reconstructs() {
-        let mut sim = IncrementalSim::with_options(
+        let mut sim = IncrementalSim::with_design(
             300,
             4,
             150,
             NoiseModel::z_channel(0.1),
-            Sampling::Balanced,
+            DesignSpec::BalancedDeck,
             43,
         );
         let m = sim

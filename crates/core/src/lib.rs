@@ -39,15 +39,14 @@
 //! The paper fixes one pooling design (i.i.d. `Γ`-regular queries, its
 //! model section); the follow-up literature shows the design matrix is the
 //! main lever for query efficiency. The [`design`] module therefore makes
-//! the design pluggable: the [`PoolingDesign`] trait samples a
-//! [`PoolingGraph`] from `(n, m, Γ, rng)` and reports metadata, with four
-//! schemes behind it ([`IidDesign`], [`DoublyRegularDesign`],
-//! [`SparseColumnDesign`], [`SpatiallyCoupledDesign`]) plus the
-//! serializable [`DesignSpec`] selector that [`Instance`] and the
-//! experiment harness's scenario registry carry. All decoders consume the
-//! sampled [`Run`] and are design-agnostic; score centerings use per-query
-//! slot counts, so designs with ±1-balanced (ragged) pool sizes decode
-//! exactly.
+//! the design pluggable: each scheme has one name, a [`DesignSpec`]
+//! variant, which [`Instance`], [`CategoricalInstance`], [`IncrementalSim`]
+//! and the experiment harness's scenario registry carry. Its
+//! [`PoolingDesign`] impl samples a [`PoolingGraph`] from `(n, m, Γ, rng)`
+//! and reports metadata; [`PoolingGraph::sample`] is the paper's design,
+//! [`DesignSpec::Iid`]. All decoders consume the sampled [`Run`] and are
+//! design-agnostic; score centerings use per-query slot counts, so designs
+//! with ±1-balanced (ragged) pool sizes decode exactly.
 //!
 //! # Examples
 //!
@@ -88,10 +87,7 @@ pub use categorical::{
     category_slots, label_accuracy, measure_categorical, CategoricalInstance, CategoricalRun,
     CategoricalTruth,
 };
-pub use design::{
-    DesignProfile, DesignSpec, DoublyRegularDesign, IidDesign, PoolingDesign, PoolingGraph,
-    QueryMultiset, Sampling, SparseColumnDesign, SpatiallyCoupledDesign,
-};
+pub use design::{DesignProfile, DesignSpec, PoolingDesign, PoolingGraph, QueryMultiset};
 pub use evaluate::{confusion, exact_recovery, hamming_distance, overlap, separation, Confusion};
 pub use greedy::{
     Centering, Decoder, Estimate, Fold, GreedyDecoder, GreedyWorkspace, ScoreOptions,

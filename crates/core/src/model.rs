@@ -1,6 +1,6 @@
 //! Problem instances: regimes, ground truth, configuration and sampling.
 
-use crate::design::{DesignSpec, PoolingDesign, PoolingGraph, Sampling};
+use crate::design::{DesignSpec, PoolingDesign, PoolingGraph};
 use crate::noise::NoiseModel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -252,16 +252,7 @@ impl Instance {
     /// Samples ground truth, pooling graph and noisy query results.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Run {
         let truth = GroundTruth::sample(self.n, self.k, rng);
-        // The legacy schemes go through `sample_with` so their RNG streams
-        // stay bit-identical to the pre-trait sampler; the structured
-        // designs dispatch through the `PoolingDesign` trait object.
-        let graph = match self.design.legacy_sampling() {
-            Some(sampling) => PoolingGraph::sample_with(self.n, self.m, self.gamma, sampling, rng),
-            None => {
-                let mut r = &mut *rng;
-                self.design.sample(self.n, self.m, self.gamma, &mut r)
-            }
-        };
+        let graph = self.design.sample(self.n, self.m, self.gamma, rng);
         let results = graph.measure(&truth, &self.noise, rng);
         Run {
             instance: self.clone(),
@@ -342,13 +333,6 @@ impl InstanceBuilder {
         self
     }
 
-    /// Sets the sampling scheme (defaults to with-replacement, the paper's
-    /// design). Shorthand for [`design`](Self::design) with the
-    /// corresponding legacy [`DesignSpec`].
-    pub fn sampling(self, sampling: Sampling) -> Self {
-        self.design(DesignSpec::from(sampling))
-    }
-
     /// Sets the pooling design (defaults to [`DesignSpec::Iid`], the
     /// paper's scheme).
     pub fn design(mut self, design: DesignSpec) -> Self {
@@ -362,7 +346,7 @@ impl InstanceBuilder {
     ///
     /// Returns an [`InstanceError`] describing the first violated
     /// constraint: `n ≥ 2`, a regime must be given, `1 ≤ k ≤ n`, `m` must be
-    /// given, and `Γ ≥ 1`.
+    /// given, `Γ ≥ 1`, and `Γ ≤ n` for a [`DesignSpec::GammaSubset`] design.
     pub fn build(self) -> Result<Instance, InstanceError> {
         if self.n < 2 {
             return Err(InstanceError::PopulationTooSmall { n: self.n });
@@ -377,9 +361,7 @@ impl InstanceBuilder {
         if gamma == 0 {
             return Err(InstanceError::EmptyQuery);
         }
-        if self.design == DesignSpec::GammaSubset && gamma > self.n {
-            return Err(InstanceError::QueryLargerThanPopulation { gamma, n: self.n });
-        }
+        self.design.check(self.n, gamma)?;
         Ok(Instance {
             n: self.n,
             k,
@@ -413,7 +395,7 @@ pub enum InstanceError {
     MissingQueries,
     /// `Γ = 0`.
     EmptyQuery,
-    /// Without-replacement sampling with `Γ > n`.
+    /// A [`DesignSpec::GammaSubset`] design with `Γ > n`.
     QueryLargerThanPopulation {
         /// Requested query size.
         gamma: usize,
@@ -642,7 +624,7 @@ mod tests {
         let inst = Instance::builder(50)
             .k(2)
             .queries(10)
-            .sampling(Sampling::WithoutReplacement)
+            .design(DesignSpec::GammaSubset)
             .build()
             .unwrap();
         assert_eq!(inst.design(), DesignSpec::GammaSubset);
@@ -659,7 +641,7 @@ mod tests {
             .k(2)
             .queries(5)
             .query_size(11)
-            .sampling(Sampling::WithoutReplacement)
+            .design(DesignSpec::GammaSubset)
             .build()
             .unwrap_err();
         assert_eq!(

@@ -21,8 +21,8 @@ use super::{FigureReport, RunOptions, THETA};
 use crate::output::table;
 use crate::{mix_seed, runner};
 use npd_core::{
-    estimation, exact_recovery, overlap, Centering, Decoder, GreedyDecoder, IncrementalSim,
-    Instance, NoiseModel, Regime, Sampling, TwoStepDecoder,
+    estimation, exact_recovery, overlap, Centering, Decoder, DesignSpec, GreedyDecoder,
+    IncrementalSim, Instance, NoiseModel, Regime, TwoStepDecoder,
 };
 use npd_decoders::{BpConfig, BpDecoder, InitKind, McmcConfig, McmcDecoder};
 use rand::rngs::StdRng;
@@ -73,15 +73,15 @@ pub fn run(opts: &RunOptions) -> FigureReport {
     ));
 
     // --- 2. Sampling scheme ------------------------------------------------
-    let median_required = |sampling: Sampling, salt: u64| -> f64 {
+    let median_required = |design: DesignSpec, salt: u64| -> f64 {
         let seeds: Vec<u64> = (0..trials as u64).map(|i| mix_seed(salt, i)).collect();
         let mut xs: Vec<f64> = runner::parallel_map(&seeds, opts.threads, |&seed| {
-            let mut sim = IncrementalSim::with_options(
+            let mut sim = IncrementalSim::with_design(
                 1_000,
                 6,
                 500,
                 NoiseModel::z_channel(0.1),
-                sampling,
+                design,
                 seed,
             );
             sim.required_queries(20_000).expect("separates").queries as f64
@@ -89,8 +89,8 @@ pub fn run(opts: &RunOptions) -> FigureReport {
         xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         xs[xs.len() / 2]
     };
-    let with_repl = median_required(Sampling::WithReplacement, 0xAB2A);
-    let without_repl = median_required(Sampling::WithoutReplacement, 0xAB2B);
+    let with_repl = median_required(DesignSpec::Iid, 0xAB2A);
+    let without_repl = median_required(DesignSpec::GammaSubset, 0xAB2B);
     rows.push(vec![
         "sampling @ p=0.1, n=1000 (median m)".into(),
         format!("with replacement: {with_repl:.0}"),
@@ -118,8 +118,14 @@ pub fn run(opts: &RunOptions) -> FigureReport {
             .map(|i| mix_seed(0xAB30 + fi as u64, i))
             .collect();
         let mut xs: Vec<f64> = runner::parallel_map(&seeds, opts.threads, |&seed| {
-            let mut sim =
-                IncrementalSim::with_query_size(1_000, 6, gamma, NoiseModel::Noiseless, seed);
+            let mut sim = IncrementalSim::with_design(
+                1_000,
+                6,
+                gamma,
+                NoiseModel::Noiseless,
+                DesignSpec::Iid,
+                seed,
+            );
             sim.required_queries(50_000).expect("separates").queries as f64
         });
         xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));

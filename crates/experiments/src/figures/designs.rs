@@ -1,5 +1,5 @@
-//! Pooling-design comparison: required queries under every design in the
-//! [`npd_core::PoolingDesign`] catalog, at fixed noise settings.
+//! Pooling-design comparison: required queries under every
+//! [`npd_core::DesignSpec`] design, at fixed noise settings.
 //!
 //! The paper samples every query independently with replacement because it
 //! "adapts techniques used in a variety of other statistical inference
@@ -14,12 +14,12 @@
 //! helps (no slots wasted on duplicates), degree balancing helps only in
 //! the sparse regime — at `Γ = n/2` the balanced dealing produces exactly
 //! complementary query pairs whose anti-correlated results inflate the
-//! greedy score fluctuations (see [`npd_core::Sampling::Balanced`]) — and
-//! the spatially-coupled design *censors*: banding breaks the
+//! greedy score fluctuations (see [`npd_core::DesignSpec::BalancedDeck`])
+//! — and the spatially-coupled design *censors*: banding breaks the
 //! exchangeability the global maximum-neighborhood rule rests on, so its
 //! rows report budget-exhausted trials in the `failures` column rather
 //! than a median (the measured negative result documented on
-//! [`npd_core::SpatiallyCoupledDesign`]; the `coupled-z01` scenario
+//! [`npd_core::DesignSpec::SpatiallyCoupled`]; the `coupled-z01` scenario
 //! reports the overlap that survives).
 //!
 //! Designs whose batch construction fixes `m` up front are grown through
@@ -37,7 +37,7 @@ use npd_core::{DesignSpec, IncrementalSim, NoiseModel, PoolingDesign, Regime};
 use npd_numerics::stats::median;
 
 /// The design catalog compared, with report labels: the paper's design
-/// plus every structured design behind [`npd_core::PoolingDesign`].
+/// plus every structured [`DesignSpec`].
 pub fn catalog() -> Vec<(DesignSpec, &'static str)> {
     vec![
         (DesignSpec::Iid, "iid Γ-regular (paper)"),

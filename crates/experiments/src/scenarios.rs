@@ -728,10 +728,10 @@ pub fn run_traced(
             .expect("Categorical scenarios use the multi-strain workload");
         let m = (sweep::default_budget(n, scenario.theta, &scenario.noise) / 4).max(200);
         let instance = CategoricalInstance::new(n, model.strain_counts(n), m)
+            .and_then(|instance| instance.with_gamma(gamma))
+            .and_then(|instance| instance.with_design(scenario.design))
             .expect("registry scenarios are valid configurations")
-            .with_gamma(gamma)
-            .with_noise(scenario.noise)
-            .with_design(scenario.design);
+            .with_noise(scenario.noise);
         let run = instance.sample(&mut StdRng::seed_from_u64(seed));
         let prep = prepare_categorical(&run);
         let out = npd_amp::matrix_amp::run_matrix_amp_traced(
@@ -808,10 +808,10 @@ fn run_categorical(scenario: &Scenario, opts: &RunOptions) -> FigureReport {
         let counts = model.strain_counts(n);
         let k_total: usize = counts.iter().sum();
         let instance = CategoricalInstance::new(n, counts, m)
+            .and_then(|instance| instance.with_gamma(gamma))
+            .and_then(|instance| instance.with_design(scenario.design))
             .expect("registry scenarios are valid configurations")
-            .with_gamma(gamma)
-            .with_noise(scenario.noise)
-            .with_design(scenario.design);
+            .with_noise(scenario.noise);
         let d = instance.d();
         let seeds: Vec<u64> = (0..trials as u64)
             .map(|t| mix_seed(0x5CE7_0000 ^ hash_name(scenario.name), (n as u64) << 8 | t))

@@ -1,15 +1,21 @@
 //! `impl-purity`: `PoolingDesign` / `PopulationModel` / `NoiseModel`
-//! impls must be pure in `(params, n, stream)` (contract rules 6-8). See
-//! the table in [`super`].
+//! impls, and the inherent impls of `DesignSpec` and `NoiseModel`, must be
+//! pure in `(params, n, stream)` (contract rules 6-8). See the table in
+//! [`super`].
 
 use crate::lexer::{Token, TokenKind};
 use crate::parser::ParsedFile;
 
 use super::{ambient_read, Finding};
 
-/// The traits (and the one enum with an inherent sampling impl) whose
-/// impls must be pure in `(params, n, stream)` — contract rules 6–8.
-const PURE_IMPL_TARGETS: &[&str] = &["PoolingDesign", "PopulationModel", "NoiseModel"];
+/// The traits (and the enums with inherent sampling impls) whose impls
+/// must be pure in `(params, n, stream)` — contract rules 6–8.
+const PURE_IMPL_TARGETS: &[&str] = &[
+    "PoolingDesign",
+    "PopulationModel",
+    "NoiseModel",
+    "DesignSpec",
+];
 // ---------------------------------------------------------------------
 // impl-purity
 // ---------------------------------------------------------------------

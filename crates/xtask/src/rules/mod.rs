@@ -19,7 +19,7 @@
 //! | `unwrap-audit` | library crates | `.unwrap()`/`.expect()` in library code panics instead of degrading |
 //! | `rng-provenance` | all but `bench` and `compat` | an RNG parameter's stream stays length-deterministic (no draws split by data-dependent `return`s) and never crosses a rayon closure boundary — per-item pure-hash derivation is the only sanctioned parallel form |
 //! | `float-order` | all but `bench` and `compat` | no cross-item float reduction (`sum`/`product`/`fold`/`reduce` at chain level) inside a rayon adapter span; integer turbofish reductions are exempt, and the order-preserving `par_chunks_mut + for_each` row-chunk idiom never reduces across items in the first place |
-//! | `impl-purity` | all but `bench` and `compat` | `PoolingDesign` / `PopulationModel` / `NoiseModel` impls are pure in `(params, n, stream)`: no wall clock, thread observables, ambient RNGs, environment reads, or (interior-)mutable statics (contract rules 6–8) |
+//! | `impl-purity` | all but `bench` and `compat` | `PoolingDesign` / `PopulationModel` / `NoiseModel` / `DesignSpec` impls are pure in `(params, n, stream)`: no wall clock, thread observables, ambient RNGs, environment reads, or (interior-)mutable statics (contract rules 6–8) |
 //! | `clock-boundary` | all but the harness crates and `compat` | real-time `Clock` impls (the telemetry wall-time plane) exist only in harness crates; library crates keep the deterministic `NullClock` default (contract rule 11) |
 //! | `contract-sync` | the workspace | ARCHITECTURE.md's numbered contract rules, the documented rule bullets, and every README scenario row / repro target still resolve against the live rule registry and the code |
 //! | `allow-audit` | every escape | an `xtask:allow` names a known rule, gives a reason, and suppresses a finding |

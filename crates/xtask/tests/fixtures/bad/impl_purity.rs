@@ -1,8 +1,10 @@
-//! Known-bad fixture for `impl-purity`: exactly three findings.
+//! Known-bad fixture for `impl-purity`: exactly four findings.
 //!
 //! 1. a wall-clock read inside a `PoolingDesign` impl
 //! 2. a process-environment read inside a `PopulationModel` impl
 //! 3. a mutable static touched from a `NoiseModel` impl
+//! 4. interior-mutable state inside the inherent `DesignSpec` impl, where
+//!    the design samplers live
 //!
 //! None of the methods takes an RNG parameter, so these are pure
 //! `impl-purity` findings with no `rng-provenance` overlap.
@@ -37,5 +39,16 @@ impl NoiseModel for CountedNoise {
     fn apply(&self, y: u32) -> u32 {
         CALLS.fetch_add(1, Ordering::Relaxed);
         y
+    }
+}
+
+enum DesignSpec {
+    Iid,
+}
+
+impl DesignSpec {
+    fn pool_size(&self, gamma: usize) -> usize {
+        let seen = std::cell::Cell::new(gamma);
+        seen.get()
     }
 }

@@ -11,7 +11,7 @@
 //! cargo run --release --example traffic_monitoring
 //! ```
 
-use noisy_pooled_data::core::{IncrementalSim, NoiseModel, Regime, Sampling};
+use noisy_pooled_data::core::{DesignSpec, IncrementalSim, NoiseModel, Regime};
 use noisy_pooled_data::theory::bounds;
 
 fn main() {
@@ -49,15 +49,15 @@ fn main() {
 
     // Design ablation: Γ-subset pools vs the with-replacement default.
     let mut medians = Vec::new();
-    for sampling in [Sampling::WithReplacement, Sampling::WithoutReplacement] {
+    for design in [DesignSpec::Iid, DesignSpec::GammaSubset] {
         let mut results: Vec<usize> = (0..3)
             .map(|seed| {
-                let mut sim = IncrementalSim::with_options(
+                let mut sim = IncrementalSim::with_design(
                     n,
                     k,
                     n / 2,
                     NoiseModel::z_channel(0.05),
-                    sampling,
+                    design,
                     12_000 + seed,
                 );
                 sim.required_queries(200_000)

@@ -4,8 +4,8 @@
 use noisy_pooled_data::adaptive::{Dorfman, IndividualTesting, RecursiveSplitting, Transcript};
 use noisy_pooled_data::amp::DenoiserKind;
 use noisy_pooled_data::core::{
-    Centering, Confusion, Estimate, GreedyDecoder, Instance, InstanceError, NoiseModel, Regime,
-    Sampling,
+    Centering, Confusion, DesignSpec, Estimate, GreedyDecoder, Instance, InstanceError, NoiseModel,
+    Regime,
 };
 use noisy_pooled_data::decoders::{
     BpConfig, BpDecoder, FistaConfig, FistaDecoder, LmmseDecoder, McmcConfig, McmcDecoder,
@@ -57,7 +57,7 @@ fn key_types_serialize() {
     assert_serde::<BoxPlot>();
     assert_serde::<Summary>();
     assert_serde::<SortingNetwork>();
-    assert_serde::<Sampling>();
+    assert_serde::<DesignSpec>();
     assert_serde::<Confusion>();
     assert_serde::<DenoiserKind>();
     assert_serde::<NodeTraffic>();

@@ -7,10 +7,10 @@
 //!   per-process hash seed. It is now a sorted merge of the two swapped
 //!   agents' adjacency lists; these fingerprints pin the resulting
 //!   bit-exact output stream.
-//! * `core::design::DoublyRegularDesign` — its switch-repair multiplicity
-//!   maps are membership-probe-only (annotated as such); the sampled graph
-//!   stream must therefore be *unchanged* by the audit. The fingerprint
-//!   here pins that stream against accidental future iteration.
+//! * `core::design::DesignSpec::DoublyRegular` — its switch-repair
+//!   multiplicity maps are membership-probe-only (annotated as such); the
+//!   sampled graph stream must therefore be *unchanged* by the audit. The
+//!   fingerprint here pins that stream against accidental future iteration.
 //! * `netsim::network::gate_copy` — the delay gate drew from the
 //!   per-message RNG only on the not-dropped path (PR 9,
 //!   `rng-provenance`): the number of variates consumed depended on the
@@ -20,8 +20,7 @@
 //!   analyzer run here pins the whole crate free of provenance hazards.
 
 use noisy_pooled_data::core::{
-    CategoricalInstance, DesignSpec, DoublyRegularDesign, Instance, NoiseModel, PoolingDesign,
-    PoolingGraph,
+    CategoricalInstance, DesignSpec, Instance, NoiseModel, PoolingDesign, PoolingGraph,
 };
 use noisy_pooled_data::decoders::{McmcConfig, McmcDecoder};
 use rand::rngs::StdRng;
@@ -53,7 +52,7 @@ fn graph_fingerprint(g: &PoolingGraph) -> u64 {
     h.0
 }
 
-/// Fingerprint of `DoublyRegularDesign.sample(n=96, m=48, Γ=24, seed=2204)`.
+/// Fingerprint of `DesignSpec::DoublyRegular.sample(n=96, m=48, Γ=24, seed=2204)`.
 /// The PR 7 hash-iteration audit only *annotated* the membership-only maps
 /// in the switch-repair pass, so this pin doubles as proof the audit left
 /// the sampling stream untouched.
@@ -62,11 +61,11 @@ const DOUBLY_REGULAR_FINGERPRINT: u64 = 0xCBE6_D311_F5DE_C71D;
 #[test]
 fn doubly_regular_stream_is_unchanged_by_the_hash_audit() {
     let mut rng = StdRng::seed_from_u64(2_204);
-    let g = DoublyRegularDesign.sample(96, 48, 24, &mut rng);
+    let g = DesignSpec::DoublyRegular.sample(96, 48, 24, &mut rng);
     assert_eq!(
         graph_fingerprint(&g),
         DOUBLY_REGULAR_FINGERPRINT,
-        "DoublyRegularDesign's sampling stream moved; its HashMaps are \
+        "the doubly regular sampling stream moved; its HashMaps are \
          annotated membership-only and must not influence output order"
     );
 }
@@ -140,7 +139,9 @@ fn design_streams_are_pinned() {
         let categorical = CategoricalInstance::new(120, vec![3, 2], 90)
             .expect("valid pin configuration")
             .with_gamma(37)
+            .unwrap()
             .with_design(spec)
+            .unwrap()
             .sample(&mut StdRng::seed_from_u64(seed));
         let got = (
             graph_fingerprint(&batch),
