@@ -1,5 +1,5 @@
 //! The pooling-design layer: the bipartite multigraph between agents and
-//! queries, and the schemes that sample it.
+//! queries, and the pluggable schemes that sample it.
 //!
 //! Following the paper's model section, every query draws `Γ` agents
 //! uniformly at random *with replacement* from the population, so an agent
@@ -137,9 +137,9 @@ pub struct PoolingGraph {
 
 impl PoolingGraph {
     /// Samples the paper's design: `m` queries, each `Γ = gamma` slots
-    /// drawn uniformly with replacement. This is
-    /// [`DesignSpec::Iid`]`.sample(..)`; the other designs are sampled
-    /// through their own [`DesignSpec`] variant.
+    /// drawn uniformly with replacement. It calls
+    /// `DesignSpec::Iid.sample(n, m, gamma, rng)`; the other designs are
+    /// sampled through their own [`DesignSpec`] variant.
     ///
     /// # Panics
     ///

@@ -51,7 +51,7 @@ impl std::error::Error for BudgetExhausted {}
 
 /// The incremental sampler arm a [`DesignSpec`] maps to (see
 /// [`IncrementalSim::with_design`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum SamplerKind {
     /// I.i.d. uniform slots with replacement (the paper's design).
     Iid,
