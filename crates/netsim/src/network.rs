@@ -1567,6 +1567,74 @@ mod tests {
         }
     }
 
+    /// Destinations of `id`'s sends in `round`, in send order: 0–3 sends
+    /// to each of four hashed destinations (never `id` itself).
+    fn scatter_plan(round: u64, id: usize, n: usize) -> Vec<usize> {
+        let mut plan = Vec::new();
+        for i in 0..4u64 {
+            let h = splitmix64((round << 40) ^ ((id as u64) << 8) ^ i);
+            let dst = (id + 1 + (h as usize) % (n - 1)) % n;
+            plan.extend(std::iter::repeat_n(dst, (h >> 32) as usize % 4));
+        }
+        plan
+    }
+
+    /// Sends its `scatter_plan` for rounds 0–2, payload `(sender,
+    /// counter)`, and logs its inbox every round.
+    struct Scatter {
+        counter: u32,
+        log: Vec<Vec<(usize, u32)>>,
+    }
+    impl Node<(usize, u32)> for Scatter {
+        fn on_round(&mut self, ctx: &mut Context<'_, (usize, u32)>) -> Activity {
+            self.log
+                .push(ctx.inbox().iter().map(|e| e.payload).collect());
+            if ctx.round() < 3 {
+                for dst in scatter_plan(ctx.round(), ctx.id().0, ctx.node_count()) {
+                    ctx.send(NodeId(dst), (ctx.id().0, self.counter));
+                    self.counter += 1;
+                }
+            }
+            Activity::Idle
+        }
+    }
+
+    /// Every inbox of a many-to-many exchange equals a brute-force model:
+    /// node `v`'s inbox in round `r + 1` is every round-`r` send to `v`,
+    /// ordered by sender and then by send order. At n = 50, 3 and 7
+    /// shards leave a shorter last shard.
+    #[test]
+    fn every_inbox_matches_the_sender_order_model() {
+        let n = 50;
+        let mut expected = vec![vec![Vec::new(); 4]; n];
+        let mut counters = vec![0u32; n];
+        for round in 0..3u64 {
+            for (id, counter) in counters.iter_mut().enumerate() {
+                for dst in scatter_plan(round, id, n) {
+                    expected[dst][round as usize + 1].push((id, *counter));
+                    *counter += 1;
+                }
+            }
+        }
+        for shards in [1usize, 2, 3, 7] {
+            let nodes = (0..n)
+                .map(|_| Scatter {
+                    counter: 0,
+                    log: Vec::new(),
+                })
+                .collect();
+            let mut net = Network::new(nodes).with_shards(shards);
+            for _ in 0..4 {
+                net.step();
+            }
+            let sent: u32 = counters.iter().sum();
+            assert_eq!(net.metrics().messages_delivered, u64::from(sent));
+            for (v, node) in net.nodes().iter().enumerate() {
+                assert_eq!(node.log, expected[v], "shards={shards} node={v}");
+            }
+        }
+    }
+
     /// Per-link fault overrides: a single dead link drops exactly its own
     /// traffic.
     #[test]
