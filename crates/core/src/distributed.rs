@@ -1360,6 +1360,15 @@ mod tests {
         assert_eq!(SelectionStrategy::gossip().to_string(), "gossip");
     }
 
+    /// The bytes each delivered message moves: the netsim arena copies
+    /// every broadcast envelope at this size, so a wider variant (say, a
+    /// multi-threshold `TopKMsg`) slows every broadcast round.
+    #[test]
+    fn message_and_envelope_sizes_are_pinned() {
+        assert_eq!(std::mem::size_of::<ProtocolMessage>(), 24);
+        assert_eq!(std::mem::size_of::<Envelope<ProtocolMessage>>(), 40);
+    }
+
     /// The acceptance bar of the chaos tentpole: with ~10% of nodes
     /// crashing mid-protocol and ~5% corrupting payloads, both selection
     /// strategies complete cleanly (no panic, no `MaxRoundsExceeded`),

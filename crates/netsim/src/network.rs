@@ -8,8 +8,10 @@
 //! 1. **Arena build** — in-flight messages (plus delay-faulted messages
 //!    whose round has come) are compacted, per destination shard, into a
 //!    CSR-style delivery arena: one envelope slab per shard plus a
-//!    per-node `(start, end)` range table. Each node's segment is sorted
-//!    by `(sender, send-seq)`; all buffers are reused across rounds.
+//!    per-node `(start, end)` range table. A counting pass over the
+//!    key-sorted staging buffer fixes each envelope's slab slot, and a
+//!    gather pass fills the slab in slot order, so each node's segment is
+//!    sorted by `(sender, send-seq)`. All buffers are reused across rounds.
 //! 2. **Node step** — every shard steps its nodes in id order. Shards are
 //!    independent (each reads the shared arena and writes its own
 //!    outboxes), so [`step`](Network::step) runs them on the rayon pool,
@@ -238,7 +240,8 @@ pub struct Network<M, N> {
     ranges: Vec<(usize, usize)>,
     /// Counting-sort scratch (one slot per node of the widest shard).
     counts: Vec<usize>,
-    /// Permutation scratch for the in-place counting sort.
+    /// Gather order of the counting sort: `perm[slot]` is the index in the
+    /// staging buffer of the envelope that fills slab slot `slot`.
     perm: Vec<u32>,
     /// Telemetry handle (disabled by default). Events are recorded only
     /// from the *serial* phases of a step — never from `run_shard` — and
@@ -804,8 +807,8 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
             }
 
             // CSR build: count per destination node, prefix into ranges,
-            // then counting-sort the buffer in place (stable in arrival
-            // order, which is key order) and strip keys into the slab.
+            // record the staged entry that fills each slab slot (stable in
+            // key order), then gather the envelopes into the slab.
             let span = hi - lo;
             let counts = &mut self.counts[..span];
             counts.fill(0);
@@ -823,13 +826,13 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
             self.perm.resize(buf.len(), 0);
             for (i, (_, env)) in buf.iter().enumerate() {
                 let local = env.to.0 - lo;
-                self.perm[i] = counts[local] as u32;
+                self.perm[counts[local]] = i as u32;
                 counts[local] += 1;
             }
-            apply_permutation(buf, &mut self.perm);
             let slab = &mut self.slabs[d];
             slab.clear();
-            slab.extend(buf.drain(..).map(|(_, env)| env));
+            slab.extend(self.perm.iter().map(|&i| buf[i as usize].1.clone()));
+            buf.clear();
             delivered += slab.len();
 
             // Per-node inbox sizes: the finest delivery breakdown that is
@@ -908,7 +911,9 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
 
     /// Phase 3: drains every shard outbox, in shard order, through the
     /// fault gates into the per-destination-shard staging buffers, then
-    /// resends due retransmissions through the same gates.
+    /// resends due retransmissions through the same gates. Without gates,
+    /// an outbox is swapped into an empty staging buffer (the arena build
+    /// empties them all) and appended to a non-empty one.
     /// Returns the number of messages sent (before fault filtering).
     fn route(&mut self) -> usize {
         let mut sent = 0usize;
@@ -918,7 +923,11 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
                 for dst in 0..self.shards {
                     let buf = &mut self.outboxes[src][dst];
                     sent += buf.len();
-                    self.staging[dst].append(buf);
+                    if self.staging[dst].is_empty() {
+                        std::mem::swap(&mut self.staging[dst], buf);
+                    } else {
+                        self.staging[dst].append(buf);
+                    }
                 }
             }
         } else {
@@ -1186,20 +1195,6 @@ impl<M: Clone> Router<'_, M> {
             self.delayed[dst].push((self.round + 1 + extra, key, env));
         } else {
             self.staging[dst].push((key, env));
-        }
-    }
-}
-
-/// Moves every element of `items` to the index `perm` assigns it, in
-/// place, consuming `perm` as scratch. `perm` must be a permutation of
-/// `0..items.len()`.
-fn apply_permutation<T>(items: &mut [T], perm: &mut [u32]) {
-    debug_assert_eq!(items.len(), perm.len());
-    for i in 0..items.len() {
-        while perm[i] as usize != i {
-            let j = perm[i] as usize;
-            items.swap(i, j);
-            perm.swap(i, j);
         }
     }
 }
@@ -1720,14 +1715,6 @@ mod tests {
         for (i, node) in net.nodes().iter().enumerate() {
             assert_eq!(node.received, 4, "node {i}"); // 2 neighbors × 2 rounds
         }
-    }
-
-    #[test]
-    fn apply_permutation_moves_to_targets() {
-        let mut items = vec!['a', 'b', 'c', 'd', 'e'];
-        let mut perm = vec![2u32, 0, 4, 1, 3];
-        apply_permutation(&mut items, &mut perm);
-        assert_eq!(items, vec!['b', 'd', 'a', 'e', 'c']);
     }
 
     #[test]
