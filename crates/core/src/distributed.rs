@@ -1362,7 +1362,7 @@ mod tests {
 
     /// The bytes each delivered message moves: the netsim arena copies
     /// every broadcast envelope at this size, so a wider variant (say, a
-    /// multi-threshold `TopKMsg`) slows every broadcast round.
+    /// multi-threshold `TopKMsg`) makes every broadcast round move more.
     #[test]
     fn message_and_envelope_sizes_are_pinned() {
         assert_eq!(std::mem::size_of::<ProtocolMessage>(), 24);

@@ -1611,6 +1611,7 @@ mod tests {
                 }
             }
         }
+        let sent: u32 = counters.iter().sum();
         for shards in [1usize, 2, 3, 7] {
             let nodes = (0..n)
                 .map(|_| Scatter {
@@ -1622,7 +1623,6 @@ mod tests {
             for _ in 0..4 {
                 net.step();
             }
-            let sent: u32 = counters.iter().sum();
             assert_eq!(net.metrics().messages_delivered, u64::from(sent));
             for (v, node) in net.nodes().iter().enumerate() {
                 assert_eq!(node.log, expected[v], "shards={shards} node={v}");
