@@ -104,7 +104,7 @@ fn bench_selection_at_scale(c: &mut Criterion) {
 /// Samples a pooled-data run sized for the end-to-end protocol bench: the
 /// query load is kept modest (the bench measures protocol scaling, not
 /// recovery) and the Gaussian query noise makes scores generically
-/// distinct, which is the regime the adaptive bisection is built for.
+/// distinct, which is the regime the adaptive threshold search is built for.
 fn e2e_run(n: usize, k: usize, m: usize, gamma: usize) -> npd_core::Run {
     Instance::builder(n)
         .k(k)

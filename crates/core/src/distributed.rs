@@ -18,11 +18,12 @@
 //!      mergesort on score tokens, one network layer per round, two
 //!      messages per comparator (the paper's Section III construction);
 //!    * [`SelectionStrategy::GossipThreshold`]: agents run the adaptive
-//!      bisection of [`npd_netsim::gossip::TopKCore`] *inside this
-//!      network* — global score bounds, then one count-all-reduce per
-//!      probe threshold until the `k`-th score is isolated or only exact
-//!      ties remain. No `O(n log² n)` sorting network is ever built, so
-//!      this path scales to millions of agents.
+//!      threshold search of [`npd_netsim::gossip::TopKCore`] *inside this
+//!      network* — global score bounds, then count all-reduces that each
+//!      count the scores above [`npd_netsim::gossip::THRESHOLDS`]
+//!      thresholds at once and narrow the interval around the `k`-th
+//!      score, until a count equals `k` or only exact ties remain. No `O(n log² n)` sorting network is ever built,
+//!      so this path scales to millions of agents.
 //! 4. **Assign**: under `BatcherSort`, the agent holding a token at
 //!    position `< k` notifies the token's owner (one extra round). Under
 //!    `GossipThreshold` every agent decides its *own* bit locally — there
@@ -92,17 +93,17 @@ pub enum SelectionStrategy {
     /// `O(n log² n)` comparator schedule in memory.
     #[default]
     BatcherSort,
-    /// The adaptive gossip bisection over the score threshold
+    /// The adaptive gossip search over the score threshold
     /// ([`npd_netsim::gossip::TopKCore`]): `O(log n)` rounds per probe,
     /// one message per agent per round, no schedule memory, and every
     /// agent decides its own bit locally (no assignment phase).
     GossipThreshold {
-        /// Cap on the bisection probes of the embedded selection — and
-        /// therefore on its worst-case round budget. The default
-        /// ([`SelectionStrategy::gossip`]) is
+        /// Cap on the probes (count all-reduces) of the embedded
+        /// selection — and therefore on its worst-case round budget. The
+        /// default ([`SelectionStrategy::gossip`]) is
         /// [`npd_netsim::gossip::PROBE_LIMIT`], which sits above the
-        /// ~130-probe exhaustion bound and never cuts the bisection
-        /// short; chaos scenarios tighten it to budget rounds explicitly.
+        /// 155-probe exhaustion bound and never cuts the search short;
+        /// chaos scenarios tighten it to budget rounds explicitly.
         probe_limit: u32,
     },
 }
@@ -613,8 +614,9 @@ pub struct ProtocolOutcome {
     /// Depth of the sorting network used in phase II (`0` under
     /// [`SelectionStrategy::GossipThreshold`], which builds none).
     pub sort_depth: usize,
-    /// Bisection probes of the adaptive gossip selection (`0` under
-    /// [`SelectionStrategy::BatcherSort`]).
+    /// Probes of the adaptive gossip selection: count all-reduces, each
+    /// carrying up to [`npd_netsim::gossip::THRESHOLDS`] threshold counts
+    /// (`0` under [`SelectionStrategy::BatcherSort`]).
     pub probes: u32,
     /// Rounds attributable to phase II: total rounds minus the
     /// measurement/accumulation rounds (and, under `BatcherSort`, the
@@ -710,9 +712,12 @@ fn garble_protocol_message(msg: &mut ProtocolMessage, entropy: u64) {
                 *min = skew(*min, entropy);
                 *max = skew(*max, entropy.rotate_left(17));
             }
-            TopKMsg::Count { value, .. } | TopKMsg::Tie { value, .. } => {
-                *value ^= entropy & 0x7;
+            TopKMsg::Count { counts, .. } => {
+                for (i, count) in counts.iter_mut().enumerate() {
+                    *count ^= (entropy >> (3 * i)) as u32 & 0x7;
+                }
             }
+            TopKMsg::Tie { value, .. } => *value ^= entropy & 0x7,
         },
         ProtocolMessage::Assign { one } => *one ^= entropy & 1 == 1,
     }
@@ -1134,7 +1139,7 @@ mod tests {
         let outcome = run_protocol_chaos(&run, options(SelectionStrategy::gossip(), None)).unwrap();
         assert_eq!(outcome.strategy, SelectionStrategy::gossip());
         assert_eq!(outcome.sort_depth, 0);
-        assert!(outcome.probes > 0, "adaptive bisection must probe");
+        assert!(outcome.probes > 0, "adaptive threshold search must probe");
         let measurement: u64 = run
             .graph()
             .queries()

@@ -66,7 +66,7 @@ pub fn run(opts: &RunOptions) -> FigureReport {
     let amp_cost = DistributedAmpCost::new(edges, amp_trace.iterations as u64);
 
     // The gossip alternative to step II, measured *in the protocol*: the
-    // same network runs the adaptive threshold bisection instead of the
+    // same network runs the adaptive threshold search instead of the
     // sorting network (strategy `GossipThreshold`), and every agent
     // decides its own bit — no assignment traffic, no sorting-network
     // schedule. The estimate is bit-identical to the Batcher path.
@@ -139,7 +139,7 @@ pub fn run(opts: &RunOptions) -> FigureReport {
         ),
         format!(
             "gossip step II replaces the sorting network with the adaptive threshold \
-             bisection: {} messages over {} rounds ({} probes), agents learn only \
+             search: {} messages over {} rounds ({} probes), agents learn only \
              their own bit, and no O(n log² n) comparator schedule is ever built",
             gossip_messages, gossip_rounds, gossip.probes
         ),

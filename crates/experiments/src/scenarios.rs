@@ -420,7 +420,7 @@ pub fn registry() -> Vec<Scenario> {
         ),
         protocol(
             "distributed-gossip",
-            "phase II via the adaptive gossip threshold bisection: no sorting network, \
+            "phase II via the adaptive gossip threshold search: no sorting network, \
              agents decide locally",
             SelectionStrategy::gossip(),
             None,

@@ -12,15 +12,16 @@
 //! * [`TopKNode`] — an *exact, deterministic* decentralized selection of
 //!   the `k` highest-scoring agents, built from the doubling aggregation
 //!   schedules of [`crate::schedule`]: butterfly **all-reduce** phases
-//!   compute global aggregates (score bounds, counts above a probe
-//!   threshold) in `log₂ n + O(1)` rounds each, and a final doubling
-//!   **prefix scan** breaks exact ties toward smaller ids, matching the
-//!   tie rule of the workspace's rank-`k` decoders. The bisection over the
-//!   score threshold terminates *adaptively*: every node sees the same
-//!   aggregate, so all nodes detect in lock-step when a probe isolates the
-//!   `k`-th score (done — no tie scan needed) or when the interval is
-//!   exhausted at `f64` precision (jump to the tie scan). There is no
-//!   fixed iteration timetable to burn through.
+//!   compute global aggregates (score bounds, counts above
+//!   [`THRESHOLDS`] probe thresholds at once) in `log₂ n + O(1)` rounds
+//!   each, and a final doubling **prefix scan** breaks exact ties toward
+//!   smaller ids, matching the tie rule of the workspace's rank-`k`
+//!   decoders. The search over the score threshold terminates
+//!   *adaptively*: every node sees the same aggregate, so all nodes detect
+//!   in lock-step when a threshold isolates the `k`-th score (done — no
+//!   tie scan needed) or when the interval is exhausted at `f64` precision
+//!   (jump to the tie scan). There is no fixed iteration timetable to burn
+//!   through.
 //!
 //! Both protocols run on the plain [`Network`] engine and
 //! are exercised end-to-end (greedy scores in, reconstruction bits out) in
@@ -216,12 +217,13 @@ pub enum TopKMsg {
         /// Running maximum.
         max: f64,
     },
-    /// All-reduce payload of a bisection counting phase.
+    /// All-reduce payload of a counting phase.
     Count {
         /// Sender's phase index.
         phase: u32,
-        /// Number of scores strictly above the probe threshold.
-        value: u64,
+        /// Number of scores strictly above each probe threshold, in
+        /// threshold order; slots past the phase's last threshold stay 0.
+        counts: [u32; THRESHOLDS],
     },
     /// Prefix payload of the tie-breaking phase.
     Tie {
@@ -252,14 +254,22 @@ pub struct TopKDecision {
     pub decided_round: u64,
 }
 
-/// Default cap on bisection probes. Any weak probe is followed by a
-/// key-halving one (see `midpoint`), so the bisection is provably
-/// exhausted after ~130 probes for any finite scores; at this default the
-/// cap is never reached and only bounds the round budget and
-/// fault-degraded stragglers. Chaos scenarios can tighten it per run via
-/// [`TopKCore::with_probe_limit`] to budget probes (and therefore rounds)
-/// explicitly — a tighter cap trades selection exactness on adversarial
-/// score ranges for a smaller worst-case round budget.
+/// Probe thresholds per count all-reduce. Four `u32` counts and the phase
+/// tag keep [`TopKMsg`] at 24 bytes, so the protocol message of
+/// `npd-core` that carries it does not grow.
+pub const THRESHOLDS: usize = 4;
+
+/// Default cap on probes, that is on count all-reduces. Each all-reduce
+/// keeps at most 3/4 of the interval's keys (its ordered bit patterns;
+/// see `ord_key`), or it is weak and the next one splits by key and keeps
+/// at most a fifth. The interval starts with fewer than 2^64 keys and
+/// (3/4)^155 · 2^64 < 1, so any finite scores exhaust it within 155
+/// all-reduces; at this default the cap is never reached and only bounds
+/// the round budget and fault-degraded stragglers. Chaos scenarios can
+/// tighten it per run via [`TopKCore::with_probe_limit`] to budget probes
+/// (and therefore rounds) explicitly — a tighter cap trades selection
+/// exactness on adversarial score ranges for a smaller worst-case round
+/// budget.
 pub const PROBE_LIMIT: u32 = 160;
 
 /// The phase a [`TopKCore`] is executing.
@@ -267,7 +277,7 @@ pub const PROBE_LIMIT: u32 = 160;
 enum PhaseKind {
     /// All-reduce of the global (min, max) score bounds.
     Bounds,
-    /// All-reduce of the count of scores above the current probe.
+    /// All-reduce of the counts of scores above the current thresholds.
     Count,
     /// Prefix scan of boundary ranks for the tie break.
     Tie,
@@ -289,11 +299,15 @@ enum PhaseKind {
 /// [`step`](Self::step) per synchronous round:
 ///
 /// 1. **Bounds** — one all-reduce; every node learns (min, max).
-/// 2. **Count** — one all-reduce per bisection probe: count the scores
-///    strictly above the probe `midpoint(lo, hi)`. Because every node sees
-///    the same count, all nodes take identical transitions: if the count
-///    equals `k` the protocol is *done* (selected ⇔ score > probe); if the
-///    interval can no longer shrink in `f64`, all nodes jump to the tie
+/// 2. **Count** — one all-reduce per probe: count the scores strictly
+///    above each of up to [`THRESHOLDS`] thresholds that cut `(lo, hi)`
+///    into five equal parts, by value or, after a weak all-reduce, by key
+///    (see `thresholds`). Because every node sees the same counts, all
+///    nodes take identical transitions: if some count equals `k` the
+///    protocol is *done* (selected ⇔ score > that threshold); otherwise
+///    `(lo, hi)` narrows to the two thresholds around the first count
+///    below `k` (`lo` or `hi` itself past either end). If no threshold
+///    fits strictly inside the new interval, all nodes jump to the tie
 ///    scan; otherwise the next probe starts. Termination is adaptive —
 ///    there is no fixed iteration count.
 /// 3. **Tie** — one prefix scan of boundary membership; node `i` learns
@@ -304,13 +318,14 @@ enum PhaseKind {
 ///
 /// On a fault-free network the result is bit-identical to the sequential
 /// rank-`k` rule (`Estimate::from_scores`) for *any* finite scores: a
-/// count of exactly `k` proves the probe separates the `k` largest scores
-/// from the rest, and interval exhaustion (adjacent `f64` endpoints)
-/// proves every remaining boundary score is *equal* to `hi`, so the
-/// lowest-id prefix rule is exactly the sequential tie break. Probes cut at
-/// least a quarter of the interval's *ordered bit patterns* each (see
-/// `midpoint`), so exhaustion is bounded regardless of the scores'
-/// dynamic range.
+/// count of exactly `k` proves its threshold separates the `k` largest
+/// scores from the rest, and interval exhaustion (no `f64` strictly
+/// between the endpoints) proves every remaining boundary score is
+/// *equal* to `hi`, so the lowest-id prefix rule is exactly the
+/// sequential tie break. Each probe keeps at most 3/4 of the interval's
+/// *ordered bit patterns*, or is followed by a key split that keeps at
+/// most a fifth, so exhaustion takes at most 155 probes regardless of the
+/// scores' dynamic range (see [`PROBE_LIMIT`]).
 ///
 /// # Fault degradation
 ///
@@ -318,8 +333,10 @@ enum PhaseKind {
 /// or duplicated copies) are counted as stale and ignored. Dropped
 /// messages leave aggregates partial, which degrades *accuracy* but never
 /// progress: every phase ends after its fixed number of rounds, every
-/// probe strictly shrinks the node's local interval, and every node
-/// reaches a decision within [`TopKNode::max_rounds`] rounds.
+/// probe strictly shrinks the node's local interval (the thresholds lie
+/// strictly inside it, so narrowing keeps `lo < hi` even when partial
+/// counts are not monotone), and every node reaches a decision within
+/// [`TopKNode::max_rounds`] rounds.
 #[derive(Debug, Clone)]
 pub struct TopKCore {
     score: f64,
@@ -336,22 +353,24 @@ pub struct TopKCore {
     hi: f64,
     /// `#{score > hi}` as of the latest interval update.
     count_above_hi: u64,
-    probe: f64,
     probes: u32,
-    /// Cap on bisection probes ([`PROBE_LIMIT`] unless overridden).
+    /// Cap on probes ([`PROBE_LIMIT`] unless overridden).
     probe_limit: u32,
     /// Global minimum after the bounds phase (drives the all-ties
     /// shortcut).
     global_min: f64,
-    /// Aggregation accumulators (min/max for bounds, sum for count/tie).
+    /// Aggregation accumulators (min/max for bounds, one count per
+    /// threshold for count, sum for tie).
     acc_min: f64,
     acc_max: f64,
+    acc_counts: [u32; THRESHOLDS],
     acc_sum: u64,
     /// Whether any in-phase arrival was merged during the current phase
     /// (drives the isolation cut-off under faults).
     merged_in_phase: bool,
     /// Whether the last probe cut less than a quarter of the key interval
-    /// (forces the next probe onto the key midpoint; see `midpoint`).
+    /// (forces the next probe's thresholds onto the key line; see
+    /// `thresholds`).
     weak_probe: bool,
     stale: u64,
     isolated: bool,
@@ -366,11 +385,13 @@ impl TopKCore {
     ///
     /// # Panics
     ///
-    /// Panics if `score` is not finite, `n == 0`, or `k > n`.
+    /// Panics if `score` is not finite, `n == 0`, `k > n`, or `n >
+    /// u32::MAX` (counts travel as `u32`).
     pub fn new(score: f64, k: usize, n: usize) -> Self {
         assert!(score.is_finite(), "TopKCore: score must be finite");
         assert!(n > 0, "TopKCore: n must be positive");
         assert!(k <= n, "TopKCore: k={k} exceeds n={n}");
+        assert!(u32::try_from(n).is_ok(), "TopKCore: n={n} exceeds u32::MAX");
         let trivial = k == 0 || k == n;
         Self {
             score,
@@ -387,12 +408,12 @@ impl TopKCore {
             lo: f64::NEG_INFINITY,
             hi: f64::INFINITY,
             count_above_hi: 0,
-            probe: 0.0,
             probes: 0,
             probe_limit: PROBE_LIMIT,
             global_min: f64::NAN,
             acc_min: score,
             acc_max: score,
+            acc_counts: [0; THRESHOLDS],
             acc_sum: 0,
             merged_in_phase: false,
             weak_probe: false,
@@ -405,10 +426,10 @@ impl TopKCore {
         }
     }
 
-    /// Overrides the bisection probe cap (default [`PROBE_LIMIT`]).
+    /// Overrides the probe cap (default [`PROBE_LIMIT`]).
     ///
-    /// The cap is clamped to at least 1. Caps below the ~130-probe
-    /// exhaustion bound can cut the bisection short on pathological score
+    /// The cap is clamped to at least 1. Caps below the 155-probe
+    /// exhaustion bound can cut the search short on pathological score
     /// ranges (the tie scan then resolves a wider-than-minimal boundary),
     /// trading exactness for a smaller worst-case round budget — pair
     /// with [`TopKNode::max_rounds`] when budgeting runs.
@@ -418,7 +439,7 @@ impl TopKCore {
         self
     }
 
-    /// The probe cap this participant bisects under.
+    /// The probe cap this participant searches under.
     pub fn probe_limit(&self) -> u32 {
         self.probe_limit
     }
@@ -428,7 +449,8 @@ impl TopKCore {
         self.decision
     }
 
-    /// Bisection probes executed so far.
+    /// Probes executed so far: count all-reduces, each carrying up to
+    /// [`THRESHOLDS`] threshold counts.
     pub fn probes(&self) -> u32 {
         self.probes
     }
@@ -451,6 +473,13 @@ impl TopKCore {
         self.score > self.lo && self.score <= self.hi
     }
 
+    /// The current probe's thresholds. They depend only on `(lo, hi)` and
+    /// the weak flag, which stay fixed through a count phase, so the
+    /// phase's entry and its finalization derive the same ones.
+    fn thresholds(&self) -> Thresholds {
+        thresholds(self.lo, self.hi, self.weak_probe)
+    }
+
     fn phase_len(&self) -> u64 {
         match self.phase {
             PhaseKind::Bounds | PhaseKind::Count => self.line.allreduce_rounds(),
@@ -468,9 +497,9 @@ impl TopKCore {
         self.merged_in_phase = false;
         match self.phase {
             PhaseKind::Bounds => {
-                // Initialize the bisection interval just below/at the
-                // actual score range: c(lo) = n ≥ k and c(max) = 0 < k
-                // hold by construction.
+                // Initialize the search interval just below/at the actual
+                // score range: c(lo) = n ≥ k and c(max) = 0 < k hold by
+                // construction.
                 self.global_min = self.acc_min;
                 self.lo = below(self.acc_min);
                 self.hi = self.acc_max;
@@ -478,20 +507,22 @@ impl TopKCore {
                 self.weak_probe = false;
                 if self.global_min == self.acc_max {
                     // Every score equal: the boundary is everyone, skip the
-                    // bisection entirely.
+                    // search entirely.
                     self.enter_tie();
                 } else {
-                    self.enter_count();
+                    // The minimum lies strictly inside (lo, hi), so there
+                    // is at least one threshold.
+                    self.enter_count(self.thresholds());
                 }
             }
             PhaseKind::Count => {
-                let mid = midpoint(self.lo, self.hi, self.weak_probe);
-                if self.probes >= self.probe_limit || !(mid > self.lo && mid < self.hi) {
+                let cuts = self.thresholds();
+                if self.probes >= self.probe_limit || cuts.len == 0 {
                     // Interval exhausted at f64 precision: everything left
                     // in (lo, hi] is an exact tie at hi.
                     self.enter_tie();
                 } else {
-                    self.enter_count();
+                    self.enter_count(cuts);
                 }
             }
             PhaseKind::Tie | PhaseKind::Done => {
@@ -500,10 +531,12 @@ impl TopKCore {
         }
     }
 
-    fn enter_count(&mut self) {
+    fn enter_count(&mut self, cuts: Thresholds) {
         self.phase = PhaseKind::Count;
-        self.probe = midpoint(self.lo, self.hi, self.weak_probe);
-        self.acc_sum = u64::from(self.score > self.probe);
+        self.acc_counts = [0; THRESHOLDS];
+        for (count, &t) in self.acc_counts.iter_mut().zip(cuts.as_slice()) {
+            *count = u32::from(self.score > t);
+        }
     }
 
     fn enter_tie(&mut self) {
@@ -512,7 +545,10 @@ impl TopKCore {
     }
 
     /// Merges one arrival into the current accumulator, or counts it as
-    /// stale if it belongs to another phase (or phase kind).
+    /// stale if it belongs to another phase (or phase kind). It runs once
+    /// per delivered message; `step` is generic, so without the hint the
+    /// copy `npd-core` instantiates calls it out of line.
+    #[inline]
     fn merge(&mut self, msg: TopKMsg) {
         if msg.phase() != self.phase_idx {
             self.stale += 1;
@@ -524,8 +560,15 @@ impl TopKCore {
                 self.acc_max = self.acc_max.max(max);
                 self.merged_in_phase = true;
             }
-            (PhaseKind::Count, TopKMsg::Count { value, .. })
-            | (PhaseKind::Tie, TopKMsg::Tie { value, .. }) => {
+            (PhaseKind::Count, TopKMsg::Count { counts, .. }) => {
+                // Fault-free sums stay at most n ≤ u32::MAX; duplicated
+                // arrivals saturate instead of wrapping.
+                for (acc, count) in self.acc_counts.iter_mut().zip(counts) {
+                    *acc = acc.saturating_add(count);
+                }
+                self.merged_in_phase = true;
+            }
+            (PhaseKind::Tie, TopKMsg::Tie { value, .. }) => {
                 self.acc_sum += value;
                 self.merged_in_phase = true;
             }
@@ -544,7 +587,7 @@ impl TopKCore {
             },
             PhaseKind::Count => TopKMsg::Count {
                 phase,
-                value: self.acc_sum,
+                counts: self.acc_counts,
             },
             PhaseKind::Tie => TopKMsg::Tie {
                 phase,
@@ -594,6 +637,7 @@ impl TopKCore {
                         // total comes back in the fold-out round.
                         self.acc_min = f64::INFINITY;
                         self.acc_max = f64::NEG_INFINITY;
+                        self.acc_counts = [0; THRESHOLDS];
                         self.acc_sum = 0;
                     }
                     Some(AllReduceSend::Exchange(dst)) | Some(AllReduceSend::FoldOut(dst)) => {
@@ -633,24 +677,36 @@ impl TopKCore {
             match self.phase {
                 PhaseKind::Count => {
                     self.probes += 1;
-                    if self.acc_sum == self.k {
-                        // The probe separates the k largest scores exactly.
+                    let cuts = self.thresholds();
+                    let cuts = cuts.as_slice();
+                    let counts = &self.acc_counts[..cuts.len()];
+                    if let Some(j) = counts.iter().position(|&c| u64::from(c) == self.k) {
+                        // Threshold j separates the k largest scores exactly.
                         self.decision = Some(TopKDecision {
-                            selected: self.score > self.probe,
+                            selected: self.score > cuts[j],
                             decided_round: self.rounds,
                         });
                         self.phase = PhaseKind::Done;
                     } else {
+                        // Narrow to the thresholds around the first count
+                        // below k. The thresholds are strictly increasing
+                        // inside (lo, hi), so lo < hi holds even when
+                        // partial counts under faults are not monotone.
+                        let j = counts
+                            .iter()
+                            .position(|&c| u64::from(c) < self.k)
+                            .unwrap_or(cuts.len());
                         let before = ord_key(self.hi) - ord_key(self.lo);
-                        if self.acc_sum > self.k {
-                            self.lo = self.probe;
-                        } else {
-                            self.hi = self.probe;
-                            self.count_above_hi = self.acc_sum;
+                        if j > 0 {
+                            self.lo = cuts[j - 1];
+                        }
+                        if j < cuts.len() {
+                            self.hi = cuts[j];
+                            self.count_above_hi = u64::from(counts[j]);
                         }
                         let after = ord_key(self.hi) - ord_key(self.lo);
                         // A probe that kept more than 3/4 of the key
-                        // interval was weak; the next one halves it.
+                        // interval was weak; the next one splits by key.
                         self.weak_probe = after > before - before / 4;
                     }
                 }
@@ -686,7 +742,8 @@ impl TopKNode {
     ///
     /// # Panics
     ///
-    /// Panics if `score` is not finite, `n == 0`, or `k > n`.
+    /// Panics if `score` is not finite, `n == 0`, `k > n`, or `n >
+    /// u32::MAX`.
     pub fn new(score: f64, k: usize, n: usize) -> Self {
         Self {
             core: TopKCore::new(score, k, n),
@@ -734,11 +791,12 @@ impl Node<TopKMsg> for TopKNode {
 
 /// Monotone map from `f64` (finite or infinite, not NaN) to the `u64`
 /// key line: `x < y  ⟺  ord_key(x) < ord_key(y)` (with `-0.0` keyed one
-/// below `+0.0`). Bisecting in key space halves the number of
-/// *representable* values in the interval each probe, so any interval is
-/// exhausted after at most 64 probes — independent of the scores' dynamic
-/// range. An arithmetic midpoint would shrink wide-range intervals like
-/// `(2.0, 1e300]` by value, needing ~1000 probes to reach the boundary.
+/// below `+0.0`). Cutting in key space keeps at most a fifth of the
+/// *representable* values in the interval each probe, so key cuts alone
+/// exhaust any interval within 28 probes — independent of the scores'
+/// dynamic range. Value cuts alone would shrink wide-range intervals like
+/// `(2.0, 1e300]` by value, needing hundreds of probes to reach the
+/// boundary.
 fn ord_key(x: f64) -> u64 {
     let b = x.to_bits();
     if b & 0x8000_0000_0000_0000 != 0 {
@@ -757,42 +815,76 @@ fn from_ord_key(k: u64) -> f64 {
     }
 }
 
-/// Bisection probe for `(lo, hi)`: the arithmetic midpoint by default (on
-/// well-scaled scores, value bisection lands a probe between the `k`-th
-/// and `(k+1)`-th order statistics fastest), or — when `prefer_key`
-/// reports the previous probe was *weak* (cut less than a quarter of the
-/// key interval) — the key-line midpoint, which unconditionally halves
-/// the count of representable values. A weak probe is always followed by
-/// a halving one, bounding the bisection at ~130 probes for any finite
-/// scores — wide dynamic ranges
-/// included. The probe is canonicalized so `-0.0` never becomes an
-/// interval endpoint
-/// (numeric comparisons treat the two zeros as equal, so a `-0.0`
-/// endpoint would stall the strict-inequality progress check).
-fn midpoint(lo: f64, hi: f64, prefer_key: bool) -> f64 {
-    let mut probe = f64::NAN;
-    if !prefer_key && lo.is_finite() && hi.is_finite() {
-        // `hi - lo` may overflow to infinity; the strict-inside test
-        // rejects the result and falls back to the key midpoint.
-        let am = lo + (hi - lo) / 2.0;
-        if am > lo && am < hi {
-            probe = am;
+/// The thresholds of one probe: strictly increasing, strictly inside the
+/// interval they cut, and never `-0.0`.
+#[derive(Debug, Clone, Copy)]
+struct Thresholds {
+    at: [f64; THRESHOLDS],
+    len: usize,
+}
+
+impl Thresholds {
+    /// Keeps, in order, the candidates above `lo` and every kept one and
+    /// below `hi`. A `-0.0` candidate is kept as `+0.0`: numeric
+    /// comparisons treat the two zeros as equal, so a `-0.0` endpoint
+    /// would stall the strict-inequality progress check.
+    fn inside(lo: f64, hi: f64, candidates: impl Iterator<Item = f64>) -> Self {
+        let mut cuts = Self {
+            at: [0.0; THRESHOLDS],
+            len: 0,
+        };
+        let mut prev = lo;
+        for t in candidates {
+            let t = if t == 0.0 { 0.0 } else { t };
+            if t > prev && t < hi {
+                cuts.at[cuts.len] = t;
+                cuts.len += 1;
+                prev = t;
+            }
+        }
+        cuts
+    }
+
+    fn as_slice(&self) -> &[f64] {
+        &self.at[..self.len]
+    }
+}
+
+/// The probe thresholds for `(lo, hi)`: the cuts into five equal parts by
+/// value by default (on well-scaled scores, value cuts land a threshold
+/// between the `k`-th and `(k+1)`-th order statistics fastest), or — when
+/// `by_key` reports the previous probe was *weak* (kept more than 3/4 of
+/// the key interval) — the cuts into five equal parts of the key line,
+/// which keep at most a fifth of the representable values whatever the
+/// dynamic range. Value cuts are used only when all [`THRESHOLDS`] of them
+/// lie strictly inside and strictly increase (`hi - lo` may overflow, and
+/// a narrow interval rounds cuts together); otherwise the key cuts are.
+/// The result is empty only when no `f64` lies strictly between `lo` and
+/// `hi`.
+fn thresholds(lo: f64, hi: f64, by_key: bool) -> Thresholds {
+    const PARTS: u32 = THRESHOLDS as u32 + 1;
+    if !by_key && lo.is_finite() && hi.is_finite() {
+        let step = (hi - lo) / f64::from(PARTS);
+        let cuts = Thresholds::inside(lo, hi, (1..PARTS).map(|j| lo + step * f64::from(j)));
+        if cuts.len == THRESHOLDS {
+            return cuts;
         }
     }
-    if probe.is_nan() {
-        let a = ord_key(lo);
-        let b = ord_key(hi);
-        probe = from_ord_key(a + (b - a) / 2);
-    }
-    if probe.to_bits() == (-0.0f64).to_bits() {
-        probe = 0.0;
-    }
-    probe
+    let a = ord_key(lo);
+    let width = ord_key(hi) - a;
+    let parts = u64::from(PARTS);
+    // ⌊j · width / PARTS⌋, with width split as PARTS · q + r so that no
+    // product overflows.
+    let key_cut = |j: u32| {
+        let j = u64::from(j);
+        from_ord_key(a + width / parts * j + width % parts * j / parts)
+    };
+    Thresholds::inside(lo, hi, (1..PARTS).map(key_cut))
 }
 
 /// The key-line predecessor of `min`, skipping the `-0.0`/`+0.0` alias so
 /// the result is *numerically* strictly below `min` — the initial `lo` of
-/// the bisection (`count(>lo) = n >= k` holds by construction).
+/// the search (`count(>lo) = n >= k` holds by construction).
 fn below(min: f64) -> f64 {
     let lo = from_ord_key(ord_key(min) - 1);
     if lo == 0.0 && min == 0.0 {
@@ -811,8 +903,9 @@ pub struct TopKReport {
     pub rounds: u64,
     /// Messages sent in total.
     pub messages: u64,
-    /// Bisection probes the adaptive termination actually needed (maximum
-    /// over nodes; identical at every node on fault-free networks).
+    /// Probes the adaptive termination actually needed: count all-reduces,
+    /// each carrying up to [`THRESHOLDS`] threshold counts (maximum over
+    /// nodes; identical at every node on fault-free networks).
     pub probes: u32,
     /// Out-of-phase arrivals counted and ignored (non-zero only under
     /// message delay or duplication faults).
@@ -825,13 +918,13 @@ pub struct TopKReport {
 /// Runs the decentralized selection of the `k` largest `scores`.
 ///
 /// Ties at the working precision break toward smaller node ids, matching
-/// the rank-`k` decoders of `npd-core`. The bisection terminates
+/// the rank-`k` decoders of `npd-core`. The threshold search terminates
 /// adaptively (see [`TopKCore`]); there is no iteration count to tune.
 ///
 /// # Panics
 ///
-/// Panics if `scores` is empty, a score is not finite, or `k >
-/// scores.len()`.
+/// Panics if `scores` is empty, a score is not finite, `k >
+/// scores.len()`, or there are more than `u32::MAX` scores.
 pub fn select_top_k(scores: &[f64], k: usize) -> TopKReport {
     run_topk(Network::new(topk_nodes(scores, k)), 0)
 }
@@ -983,23 +1076,123 @@ mod tests {
         check_selection(&scores, 2);
     }
 
-    /// Regression: the bisection walks ordered bit patterns, so scores
+    /// The exhaustion bound [`PROBE_LIMIT`]'s docs prove: each probe keeps
+    /// at most 3/4 of the key interval, or is followed by a key split that
+    /// keeps at most a fifth, and (3/4)^155 · 2^64 < 1. The cap covers it.
+    const EXHAUSTION_BOUND: u32 = 155;
+    const _: () = assert!(EXHAUSTION_BOUND < PROBE_LIMIT);
+
+    /// Regression: the search walks ordered bit patterns, so scores
     /// spanning the full f64 dynamic range are separated exactly. The
     /// former arithmetic midpoint shrank the interval by *value* and hit
     /// the probe cap with (1.0, 2.0) still unseparated inside (lo, hi],
-    /// mis-selecting id 0 by the tie rule.
+    /// mis-selecting id 0 by the tie rule. The last case is settled by
+    /// the first key cut of a bisection, but five-way cuts need 31
+    /// probes: value cuts around zero keep most of the keys.
     #[test]
     fn wide_dynamic_range_is_exact() {
-        check_selection(&[1.0, 2.0, 1e300], 2);
-        check_selection(&[-1e300, 1e-300, 2e-300, 1e300], 2);
-        check_selection(&[5e-324, 0.0, -5e-324], 1);
-        check_selection(&[-0.0, 0.0, 1.0], 2);
-        let report = select_top_k(&[1.0, 2.0, 1e300], 2);
-        assert!(
-            report.probes < PROBE_LIMIT,
-            "hybrid bisection must exhaust well under the cap, took {}",
-            report.probes
+        let cases: [(&[f64], usize); 5] = [
+            (&[1.0, 2.0, 1e300], 2),
+            (&[-1e300, 1e-300, 2e-300, 1e300], 2),
+            (&[5e-324, 0.0, -5e-324], 1),
+            (&[-0.0, 0.0, 1.0], 2),
+            (&[-f64::MAX, -5e-324, 5e-324, f64::MAX], 2),
+        ];
+        for (scores, k) in cases {
+            check_selection(scores, k);
+            let report = select_top_k(scores, k);
+            assert!(
+                report.probes <= EXHAUSTION_BOUND,
+                "the search must exhaust within the proven bound, took {} on {scores:?}",
+                report.probes
+            );
+        }
+    }
+
+    /// Every threshold set lies strictly inside its interval, strictly
+    /// increases and holds no `-0.0`. It is empty exactly when no `f64`
+    /// lies strictly between the endpoints: when their keys are adjacent,
+    /// or two apart with only the `-0.0`/`+0.0` pair between them.
+    #[test]
+    fn thresholds_lie_strictly_inside() {
+        // In strictly increasing key order.
+        let points = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1e300,
+            -2.0,
+            -1.0,
+            -1e-300,
+            -1e-323,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1e-323,
+            1e-300,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut pairs = Vec::new();
+        for (i, &lo) in points.iter().enumerate() {
+            pairs.extend(points[i + 1..].iter().map(|&hi| (lo, hi)));
+            // Near neighbours, up to +∞ (the keys past it are NaNs).
+            let near = (1..=6).map(|d| from_ord_key(ord_key(lo) + d));
+            pairs.extend(near.filter(|hi| !hi.is_nan()).map(|hi| (lo, hi)));
+        }
+        for (lo, hi) in pairs {
+            // Keys between the endpoints, counting the two zeros as one
+            // value when both lie in [lo, hi].
+            let gap = ord_key(hi)
+                - ord_key(lo)
+                - u64::from(lo.is_sign_negative() && hi.is_sign_positive());
+            for by_key in [false, true] {
+                let cuts = thresholds(lo, hi, by_key);
+                let mut prev = lo;
+                for &t in cuts.as_slice() {
+                    assert!(t > prev && t < hi, "{t} outside ({prev}, {hi})");
+                    assert_ne!(t.to_bits(), (-0.0f64).to_bits(), "({lo}, {hi})");
+                    prev = t;
+                }
+                assert_eq!(
+                    cuts.len == 0,
+                    gap < 2,
+                    "({lo}, {hi}) by_key={by_key}: {:?}",
+                    cuts.as_slice()
+                );
+            }
+        }
+        // Well-scaled intervals are cut by value into five equal parts.
+        assert_eq!(
+            thresholds(0.0, 5.0, false).as_slice(),
+            &[1.0, 2.0, 3.0, 4.0]
         );
+    }
+
+    /// Counts travel as `u32`; duplicated arrivals under faults saturate
+    /// the sum instead of wrapping it.
+    #[test]
+    fn count_merge_saturates() {
+        let mut core = TopKCore::new(1.0, 1, 4);
+        core.phase = PhaseKind::Count;
+        core.acc_counts = [u32::MAX - 1, u32::MAX, 7, 0];
+        core.merge(TopKMsg::Count {
+            phase: core.phase_idx,
+            counts: [5, 1, u32::MAX - 3, 2],
+        });
+        assert_eq!(core.acc_counts, [u32::MAX, u32::MAX, u32::MAX, 2]);
+        assert_eq!(core.stale_messages(), 0);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn rejects_n_above_u32_max() {
+        TopKCore::new(1.0, 1, u32::MAX as usize + 1);
     }
 
     #[test]
@@ -1031,7 +1224,7 @@ mod tests {
         let expected: Vec<bool> = (0..9).map(|i| i < 4).collect();
         assert_eq!(report.selected, expected);
         // All-ties shortcut: the bounds phase detects min == max and jumps
-        // straight to the tie scan without a single bisection probe.
+        // straight to the tie scan without a single probe.
         assert_eq!(report.probes, 0);
     }
 

@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Variant B: the same protocol with phase II swapped for the adaptive
-    // gossip threshold bisection — agents learn only their own bit, no
-    // sorting network is ever built, and the bisection stops as soon as
+    // gossip threshold search — agents learn only their own bit, no
+    // sorting network is ever built, and the search stops as soon as
     // the k-th score is isolated (or only exact ties remain).
     let gossip = distributed::run_protocol_chaos(
         &run,
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )?;
     println!(
-        "gossip-threshold protocol: {} messages, {} rounds ({} adaptive probes), \
+        "gossip-threshold protocol: {} messages, {} rounds (four-threshold probes: {}), \
          matches sorting network = {}",
         gossip.metrics.messages_sent,
         gossip.rounds,
