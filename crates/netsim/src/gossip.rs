@@ -337,34 +337,34 @@ enum PhaseKind {
 /// strictly inside it, so narrowing keeps `lo < hi` even when partial
 /// counts are not monotone), and every node reaches a decision within
 /// [`TopKNode::max_rounds`] rounds.
+///
+/// # Size
+///
+/// Every selection round steps every node, so the node's width sets the
+/// memory each round walks; widths past about 200 bytes slow a selection
+/// down. The core keeps counts and steps as `u32` (`n ≤ u32::MAX`) and
+/// one accumulator, the message it sends, and is pinned at 112 bytes.
 #[derive(Debug, Clone)]
 pub struct TopKCore {
     score: f64,
-    k: u64,
+    k: u32,
     line: IdLine,
     phase: PhaseKind,
-    /// Index of the current phase (the message tag).
-    phase_idx: u32,
     /// Step within the current phase.
-    step: u64,
+    step: u32,
     /// Rounds executed so far.
     rounds: u64,
     lo: f64,
     hi: f64,
     /// `#{score > hi}` as of the latest interval update.
-    count_above_hi: u64,
+    count_above_hi: u32,
     probes: u32,
     /// Cap on probes ([`PROBE_LIMIT`] unless overridden).
     probe_limit: u32,
-    /// Global minimum after the bounds phase (drives the all-ties
-    /// shortcut).
-    global_min: f64,
-    /// Aggregation accumulators (min/max for bounds, one count per
-    /// threshold for count, sum for tie).
-    acc_min: f64,
-    acc_max: f64,
-    acc_counts: [u32; THRESHOLDS],
-    acc_sum: u64,
+    /// The current phase's accumulator, tagged with the phase index: the
+    /// running (min, max) of the bounds phase, one count per threshold in a
+    /// count phase, the prefix sum of the tie scan. It is sent as it is.
+    acc: TopKMsg,
     /// Whether any in-phase arrival was merged during the current phase
     /// (drives the isolation cut-off under faults).
     merged_in_phase: bool,
@@ -395,14 +395,13 @@ impl TopKCore {
         let trivial = k == 0 || k == n;
         Self {
             score,
-            k: k as u64,
+            k: k as u32,
             line: IdLine::new(n),
             phase: if trivial {
                 PhaseKind::Done
             } else {
                 PhaseKind::Bounds
             },
-            phase_idx: 0,
             step: 0,
             rounds: 0,
             lo: f64::NEG_INFINITY,
@@ -410,11 +409,11 @@ impl TopKCore {
             count_above_hi: 0,
             probes: 0,
             probe_limit: PROBE_LIMIT,
-            global_min: f64::NAN,
-            acc_min: score,
-            acc_max: score,
-            acc_counts: [0; THRESHOLDS],
-            acc_sum: 0,
+            acc: TopKMsg::Bounds {
+                phase: 0,
+                min: score,
+                max: score,
+            },
             merged_in_phase: false,
             weak_probe: false,
             stale: 0,
@@ -480,6 +479,9 @@ impl TopKCore {
         thresholds(self.lo, self.hi, self.weak_probe)
     }
 
+    /// Read every step; inlined into the instances of the generic `step`
+    /// that other crates compile, like [`IdLine`]'s methods.
+    #[inline]
     fn phase_len(&self) -> u64 {
         match self.phase {
             PhaseKind::Bounds | PhaseKind::Count => self.line.allreduce_rounds(),
@@ -492,56 +494,57 @@ impl TopKCore {
     /// transition depends only on state every (fault-free) node shares, so
     /// all nodes switch in lock-step.
     fn advance_phase(&mut self) {
-        self.phase_idx += 1;
+        let phase = self.acc.phase() + 1;
         self.step = 0;
         self.merged_in_phase = false;
-        match self.phase {
-            PhaseKind::Bounds => {
+        match (self.phase, self.acc) {
+            (PhaseKind::Bounds, TopKMsg::Bounds { min, max, .. }) => {
                 // Initialize the search interval just below/at the actual
                 // score range: c(lo) = n ≥ k and c(max) = 0 < k hold by
                 // construction.
-                self.global_min = self.acc_min;
-                self.lo = below(self.acc_min);
-                self.hi = self.acc_max;
+                self.lo = below(min);
+                self.hi = max;
                 self.count_above_hi = 0;
                 self.weak_probe = false;
-                if self.global_min == self.acc_max {
+                if min == max {
                     // Every score equal: the boundary is everyone, skip the
                     // search entirely.
-                    self.enter_tie();
+                    self.enter_tie(phase);
                 } else {
                     // The minimum lies strictly inside (lo, hi), so there
                     // is at least one threshold.
-                    self.enter_count(self.thresholds());
+                    self.enter_count(self.thresholds(), phase);
                 }
             }
-            PhaseKind::Count => {
+            (PhaseKind::Count, _) => {
                 let cuts = self.thresholds();
                 if self.probes >= self.probe_limit || cuts.len == 0 {
                     // Interval exhausted at f64 precision: everything left
                     // in (lo, hi] is an exact tie at hi.
-                    self.enter_tie();
+                    self.enter_tie(phase);
                 } else {
-                    self.enter_count(cuts);
+                    self.enter_count(cuts, phase);
                 }
             }
-            PhaseKind::Tie | PhaseKind::Done => {
-                self.phase = PhaseKind::Done;
-            }
+            _ => self.phase = PhaseKind::Done,
         }
     }
 
-    fn enter_count(&mut self, cuts: Thresholds) {
+    fn enter_count(&mut self, cuts: Thresholds, phase: u32) {
         self.phase = PhaseKind::Count;
-        self.acc_counts = [0; THRESHOLDS];
-        for (count, &t) in self.acc_counts.iter_mut().zip(cuts.as_slice()) {
+        let mut counts = [0; THRESHOLDS];
+        for (count, &t) in counts.iter_mut().zip(cuts.as_slice()) {
             *count = u32::from(self.score > t);
         }
+        self.acc = TopKMsg::Count { phase, counts };
     }
 
-    fn enter_tie(&mut self) {
+    fn enter_tie(&mut self, phase: u32) {
         self.phase = PhaseKind::Tie;
-        self.acc_sum = u64::from(self.in_boundary());
+        self.acc = TopKMsg::Tie {
+            phase,
+            value: u64::from(self.in_boundary()),
+        };
     }
 
     /// Merges one arrival into the current accumulator, or counts it as
@@ -550,51 +553,34 @@ impl TopKCore {
     /// copy `npd-core` instantiates calls it out of line.
     #[inline]
     fn merge(&mut self, msg: TopKMsg) {
-        if msg.phase() != self.phase_idx {
+        if msg.phase() != self.acc.phase() {
             self.stale += 1;
             return;
         }
-        match (self.phase, msg) {
-            (PhaseKind::Bounds, TopKMsg::Bounds { min, max, .. }) => {
-                self.acc_min = self.acc_min.min(min);
-                self.acc_max = self.acc_max.max(max);
-                self.merged_in_phase = true;
+        match (&mut self.acc, msg) {
+            (
+                TopKMsg::Bounds { min, max, .. },
+                TopKMsg::Bounds {
+                    min: lo, max: hi, ..
+                },
+            ) => {
+                *min = min.min(lo);
+                *max = max.max(hi);
             }
-            (PhaseKind::Count, TopKMsg::Count { counts, .. }) => {
+            (TopKMsg::Count { counts, .. }, TopKMsg::Count { counts: more, .. }) => {
                 // Fault-free sums stay at most n ≤ u32::MAX; duplicated
                 // arrivals saturate instead of wrapping.
-                for (acc, count) in self.acc_counts.iter_mut().zip(counts) {
+                for (acc, count) in counts.iter_mut().zip(more) {
                     *acc = acc.saturating_add(count);
                 }
-                self.merged_in_phase = true;
             }
-            (PhaseKind::Tie, TopKMsg::Tie { value, .. }) => {
-                self.acc_sum += value;
-                self.merged_in_phase = true;
+            (TopKMsg::Tie { value, .. }, TopKMsg::Tie { value: more, .. }) => *value += more,
+            _ => {
+                self.stale += 1;
+                return;
             }
-            _ => self.stale += 1,
         }
-    }
-
-    /// The message carrying the current accumulator.
-    fn payload(&self) -> TopKMsg {
-        let phase = self.phase_idx;
-        match self.phase {
-            PhaseKind::Bounds => TopKMsg::Bounds {
-                phase,
-                min: self.acc_min,
-                max: self.acc_max,
-            },
-            PhaseKind::Count => TopKMsg::Count {
-                phase,
-                counts: self.acc_counts,
-            },
-            PhaseKind::Tie => TopKMsg::Tie {
-                phase,
-                value: self.acc_sum,
-            },
-            PhaseKind::Done => unreachable!("Done nodes never send"),
-        }
+        self.merged_in_phase = true;
     }
 
     /// Executes one synchronous round: merges `inbox`, emits this step's
@@ -612,7 +598,7 @@ impl TopKCore {
         inbox: impl IntoIterator<Item = TopKMsg>,
         mut send: impl FnMut(usize, TopKMsg),
     ) -> bool {
-        if self.phase != PhaseKind::Done && self.step >= self.phase_len() {
+        if self.phase != PhaseKind::Done && u64::from(self.step) >= self.phase_len() {
             self.advance_phase();
         }
         for msg in inbox {
@@ -628,34 +614,41 @@ impl TopKCore {
         }
 
         // Emit this step's sends.
+        let step = u64::from(self.step);
         match self.phase {
-            PhaseKind::Bounds | PhaseKind::Count => {
-                match self.line.allreduce_send(id, self.step) {
-                    Some(AllReduceSend::FoldIn(dst)) => {
-                        send(dst, self.payload());
-                        // The destination now carries this node's mass; the
-                        // total comes back in the fold-out round.
-                        self.acc_min = f64::INFINITY;
-                        self.acc_max = f64::NEG_INFINITY;
-                        self.acc_counts = [0; THRESHOLDS];
-                        self.acc_sum = 0;
-                    }
-                    Some(AllReduceSend::Exchange(dst)) | Some(AllReduceSend::FoldOut(dst)) => {
-                        send(dst, self.payload());
-                    }
-                    None => {}
+            PhaseKind::Bounds | PhaseKind::Count => match self.line.allreduce_send(id, step) {
+                Some(AllReduceSend::FoldIn(dst)) => {
+                    send(dst, self.acc);
+                    // The destination now carries this node's mass; the
+                    // total comes back in the fold-out round.
+                    self.acc = match self.acc {
+                        TopKMsg::Bounds { phase, .. } => TopKMsg::Bounds {
+                            phase,
+                            min: f64::INFINITY,
+                            max: f64::NEG_INFINITY,
+                        },
+                        TopKMsg::Count { phase, .. } => TopKMsg::Count {
+                            phase,
+                            counts: [0; THRESHOLDS],
+                        },
+                        TopKMsg::Tie { phase, .. } => TopKMsg::Tie { phase, value: 0 },
+                    };
                 }
-            }
+                Some(AllReduceSend::Exchange(dst)) | Some(AllReduceSend::FoldOut(dst)) => {
+                    send(dst, self.acc);
+                }
+                None => {}
+            },
             PhaseKind::Tie => {
-                if let Some(dst) = self.line.scan_target(id, self.step) {
-                    send(dst, self.payload());
+                if let Some(dst) = self.line.scan_target(id, step) {
+                    send(dst, self.acc);
                 }
             }
             PhaseKind::Done => unreachable!("handled above"),
         }
 
         // Finalize on the phase's last step.
-        if self.step + 1 == self.phase_len() {
+        if step + 1 == self.phase_len() {
             // Isolation cut-off: an aggregation phase (which delivers at
             // least one arrival to every node on a fault-free network of
             // n > 1) ended without a single in-phase arrival — this node
@@ -674,13 +667,13 @@ impl TopKCore {
                 self.rounds += 1;
                 return false;
             }
-            match self.phase {
-                PhaseKind::Count => {
+            match (self.phase, self.acc) {
+                (PhaseKind::Count, TopKMsg::Count { counts, .. }) => {
                     self.probes += 1;
                     let cuts = self.thresholds();
                     let cuts = cuts.as_slice();
-                    let counts = &self.acc_counts[..cuts.len()];
-                    if let Some(j) = counts.iter().position(|&c| u64::from(c) == self.k) {
+                    let counts = &counts[..cuts.len()];
+                    if let Some(j) = counts.iter().position(|&c| c == self.k) {
                         // Threshold j separates the k largest scores exactly.
                         self.decision = Some(TopKDecision {
                             selected: self.score > cuts[j],
@@ -694,7 +687,7 @@ impl TopKCore {
                         // partial counts under faults are not monotone.
                         let j = counts
                             .iter()
-                            .position(|&c| u64::from(c) < self.k)
+                            .position(|&c| c < self.k)
                             .unwrap_or(cuts.len());
                         let before = ord_key(self.hi) - ord_key(self.lo);
                         if j > 0 {
@@ -702,7 +695,7 @@ impl TopKCore {
                         }
                         if j < cuts.len() {
                             self.hi = cuts[j];
-                            self.count_above_hi = u64::from(counts[j]);
+                            self.count_above_hi = counts[j];
                         }
                         let after = ord_key(self.hi) - ord_key(self.lo);
                         // A probe that kept more than 3/4 of the key
@@ -710,18 +703,19 @@ impl TopKCore {
                         self.weak_probe = after > before - before / 4;
                     }
                 }
-                PhaseKind::Tie => {
-                    // `acc_sum` is this node's boundary prefix rank (self
-                    // included).
+                (PhaseKind::Tie, TopKMsg::Tie { value: rank, .. }) => {
+                    // The scan's sum is this node's boundary prefix rank
+                    // (self included).
+                    let above = u64::from(self.count_above_hi);
                     let selected = self.score > self.hi
-                        || (self.in_boundary() && self.count_above_hi + self.acc_sum <= self.k);
+                        || (self.in_boundary() && above + rank <= u64::from(self.k));
                     self.decision = Some(TopKDecision {
                         selected,
                         decided_round: self.rounds,
                     });
                     self.phase = PhaseKind::Done;
                 }
-                PhaseKind::Bounds | PhaseKind::Done => {}
+                _ => {}
             }
         }
         self.step += 1;
@@ -1179,13 +1173,35 @@ mod tests {
     fn count_merge_saturates() {
         let mut core = TopKCore::new(1.0, 1, 4);
         core.phase = PhaseKind::Count;
-        core.acc_counts = [u32::MAX - 1, u32::MAX, 7, 0];
+        core.acc = TopKMsg::Count {
+            phase: 0,
+            counts: [u32::MAX - 1, u32::MAX, 7, 0],
+        };
         core.merge(TopKMsg::Count {
-            phase: core.phase_idx,
+            phase: 0,
             counts: [5, 1, u32::MAX - 3, 2],
         });
-        assert_eq!(core.acc_counts, [u32::MAX, u32::MAX, u32::MAX, 2]);
+        let expected = [u32::MAX, u32::MAX, u32::MAX, 2];
+        assert_eq!(
+            core.acc,
+            TopKMsg::Count {
+                phase: 0,
+                counts: expected
+            }
+        );
         assert_eq!(core.stale_messages(), 0);
+    }
+
+    /// The bytes each selection round walks per node: every round steps
+    /// every node, and `npd-core` embeds this core in its protocol agents.
+    /// In one process, padding a standalone selection node from 168 to
+    /// 280 bytes took an n=2^16 selection from 0.55 to 0.73 s (medians of
+    /// 9 runs), while widths from 120 to 200 bytes all ran at
+    /// 0.52–0.55 s. A field that pushes the core, or the agent around it,
+    /// back past about 200 bytes fails here.
+    #[test]
+    fn core_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<TopKCore>(), 112);
     }
 
     #[test]

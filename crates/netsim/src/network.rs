@@ -89,8 +89,8 @@ pub struct Context<'a, M> {
     outbox: &'a mut [Vec<Staged<M>>],
     shard_size: usize,
     topology: &'a Topology,
-    /// The sender's next send-sequence number (written back after the
-    /// node steps).
+    /// The sender's next send-sequence number: its cumulative send count
+    /// ([`NodeTraffic::sent`], written back after the node steps).
     next_seq: u64,
 }
 
@@ -209,9 +209,9 @@ pub struct Network<M, N> {
     shard_size: usize,
     round: u64,
     metrics: Metrics,
+    /// Per-node traffic counters; `sent` is also the `seq` of the node's
+    /// next send.
     traffic: Vec<NodeTraffic>,
-    /// Per-node cumulative send counter (the `seq` of the next send).
-    send_seq: Vec<u64>,
     /// Message-fault model. Fault *decisions* carry no state at all: they
     /// are pure functions of `(seed, message identity)`.
     faults: Option<FaultConfig>,
@@ -362,7 +362,6 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
             round: 0,
             metrics: Metrics::default(),
             traffic: vec![NodeTraffic::default(); count],
-            send_seq: vec![0; count],
             faults: None,
             node_faults: None,
             reliable: None,
@@ -858,7 +857,6 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
         let node_count = self.nodes.len();
         let mut runs = Vec::with_capacity(self.shards);
         let mut nodes = self.nodes.as_mut_slice();
-        let mut seqs = self.send_seq.as_mut_slice();
         let mut traffic = self.traffic.as_mut_slice();
         let mut ranges = self.ranges.as_slice();
         let mut slabs = self.slabs.as_slice();
@@ -867,7 +865,6 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
         for _ in 0..self.shards {
             let take = shard_size.min(nodes.len());
             let (node_chunk, node_rest) = nodes.split_at_mut(take);
-            let (seq_chunk, seq_rest) = seqs.split_at_mut(take);
             let (traffic_chunk, traffic_rest) = traffic.split_at_mut(take);
             let (range_chunk, range_rest) = ranges.split_at(take);
             // Invariant: `resize_shard_buffers` sizes `slabs`/`outboxes`
@@ -882,14 +879,12 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
             runs.push(ShardRun {
                 start,
                 nodes: node_chunk,
-                send_seq: seq_chunk,
                 traffic: traffic_chunk,
                 ranges: range_chunk,
                 slab: slab_chunk,
                 outbox: outbox_chunk,
             });
             nodes = node_rest;
-            seqs = seq_rest;
             traffic = traffic_rest;
             ranges = range_rest;
             slabs = slab_rest;
@@ -1031,7 +1026,6 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
 struct ShardRun<'a, M, N> {
     start: usize,
     nodes: &'a mut [N],
-    send_seq: &'a mut [u64],
     traffic: &'a mut [NodeTraffic],
     ranges: &'a [(usize, usize)],
     slab: &'a [Envelope<M>],
@@ -1066,7 +1060,7 @@ impl StepEnv<'_> {
                 continue;
             }
             let (start, end) = run.ranges[i];
-            let seq_before = run.send_seq[i];
+            let seq_before = run.traffic[i].sent;
             let mut ctx = Context {
                 round: self.round,
                 id: NodeId(run.start + i),
@@ -1080,10 +1074,8 @@ impl StepEnv<'_> {
             if node.on_round(&mut ctx) == Activity::Active {
                 active += 1;
             }
-            let sent_now = ctx.next_seq - seq_before;
-            if sent_now > 0 {
-                run.send_seq[i] = ctx.next_seq;
-                run.traffic[i].sent += sent_now;
+            if ctx.next_seq > seq_before {
+                run.traffic[i].sent = ctx.next_seq;
                 run.traffic[i].active_send_rounds += 1;
             }
         }

@@ -36,6 +36,11 @@ pub enum AllReduceSend {
 
 /// The doubling schedule for an id line of `n` nodes.
 ///
+/// It stores `n` alone and derives the butterfly core and the step counts
+/// with bit operations. Its methods are `#[inline]`: the generic
+/// `TopKCore::step` calls them for every node in every round, and other
+/// crates compile their own instances of it.
+///
 /// # Examples
 ///
 /// ```
@@ -50,12 +55,6 @@ pub enum AllReduceSend {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdLine {
     n: usize,
-    /// Largest power of two `≤ n` (the butterfly core).
-    core: usize,
-    /// `log₂ core`.
-    butterfly_steps: u32,
-    /// `⌈log₂ n⌉`.
-    scan_steps: u32,
 }
 
 impl IdLine {
@@ -66,22 +65,20 @@ impl IdLine {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "IdLine: n must be positive");
-        let scan_steps = if n <= 1 {
-            0
-        } else {
-            usize::BITS - (n - 1).leading_zeros()
-        };
-        let core = if n.is_power_of_two() {
-            n
-        } else {
-            1 << (usize::BITS - 1 - n.leading_zeros())
-        };
-        Self {
-            n,
-            core,
-            butterfly_steps: core.trailing_zeros(),
-            scan_steps,
-        }
+        Self { n }
+    }
+
+    /// `⌊log₂ n⌋`: the exchange steps of the butterfly core, the largest
+    /// power of two `≤ n`.
+    #[inline]
+    fn butterfly_steps(&self) -> u32 {
+        self.n.ilog2()
+    }
+
+    /// `⌈log₂ n⌉`.
+    #[inline]
+    fn scan_steps(&self) -> u32 {
+        usize::BITS - (self.n - 1).leading_zeros()
     }
 
     /// Number of nodes on the line.
@@ -91,13 +88,15 @@ impl IdLine {
 
     /// Rounds of a prefix-scan phase: `⌈log₂ n⌉` send steps plus the final
     /// merge-only step.
+    #[inline]
     pub fn scan_rounds(&self) -> u64 {
-        self.scan_steps as u64 + 1
+        u64::from(self.scan_steps()) + 1
     }
 
     /// The destination of node `id`'s scan send at `step`, if any.
+    #[inline]
     pub fn scan_target(&self, id: usize, step: u64) -> Option<usize> {
-        if step >= self.scan_steps as u64 {
+        if step >= u64::from(self.scan_steps()) {
             return None;
         }
         let dst = id + (1usize << step);
@@ -107,37 +106,41 @@ impl IdLine {
     /// Rounds of an all-reduce phase. Power-of-two lines run a pure
     /// butterfly (`log₂ n` exchanges + final merge); other lines add a
     /// fold-in round before and a fold-out round after.
+    #[inline]
     pub fn allreduce_rounds(&self) -> u64 {
-        if self.n == self.core {
-            self.butterfly_steps as u64 + 1
+        let steps = u64::from(self.butterfly_steps());
+        if self.n.is_power_of_two() {
+            steps + 1
         } else {
-            self.butterfly_steps as u64 + 3
+            steps + 3
         }
     }
 
     /// The send action of node `id` at `step` of an all-reduce phase, if
     /// any. Steps at or beyond [`allreduce_rounds`](Self::allreduce_rounds)
     /// `- 1` are merge-only for every node.
+    #[inline]
     pub fn allreduce_send(&self, id: usize, step: u64) -> Option<AllReduceSend> {
-        if self.n == self.core {
-            if step < self.butterfly_steps as u64 {
+        let bfly = u64::from(self.butterfly_steps());
+        if self.n.is_power_of_two() {
+            if step < bfly {
                 return Some(AllReduceSend::Exchange(id ^ (1usize << step)));
             }
             return None;
         }
         // Folded line: remainder ids park their mass on the core first.
+        let core = 1usize << bfly;
         if step == 0 {
-            return (id >= self.core).then(|| AllReduceSend::FoldIn(id - self.core));
+            return (id >= core).then(|| AllReduceSend::FoldIn(id - core));
         }
-        let bfly = self.butterfly_steps as u64;
         if step <= bfly {
-            if id < self.core {
+            if id < core {
                 return Some(AllReduceSend::Exchange(id ^ (1usize << (step - 1))));
             }
             return None;
         }
-        if step == bfly + 1 && id < self.core && id + self.core < self.n {
-            return Some(AllReduceSend::FoldOut(id + self.core));
+        if step == bfly + 1 && id < core && id + core < self.n {
+            return Some(AllReduceSend::FoldOut(id + core));
         }
         None
     }
