@@ -81,6 +81,45 @@ fn winsorized_protocol_matches_winsorized_fold() {
     }
 }
 
+/// A grace window keeps the agents folding for extra rounds before they
+/// form their scores. On a fault-free network the late score round
+/// changes nothing but the clock: both strategies still give the
+/// sequential estimate bit for bit, with the same messages, every round
+/// shifted by the window.
+#[test]
+fn grace_window_keeps_equivalence() {
+    let run = Instance::builder(96)
+        .k(3)
+        .queries(60)
+        .noise(NoiseModel::gaussian(1.5))
+        .build()
+        .expect("valid instance")
+        .sample(&mut StdRng::seed_from_u64(33));
+    let sequential = GreedyDecoder::new().decode(&run);
+    for strategy in [SelectionStrategy::BatcherSort, SelectionStrategy::gossip()] {
+        let with_grace = |grace: u64| {
+            let options = ProtocolOptions {
+                strategy,
+                grace,
+                ..ProtocolOptions::default()
+            };
+            distributed::run_protocol_chaos(&run, options).expect("protocol quiesces")
+        };
+        let base = with_grace(0);
+        for grace in [1, 3] {
+            let outcome = with_grace(grace);
+            assert_eq!(outcome.estimate, sequential, "{strategy} grace={grace}");
+            assert_eq!(outcome.missing_assignments, 0, "{strategy} grace={grace}");
+            assert_eq!(
+                outcome.rounds,
+                base.rounds + grace,
+                "{strategy} grace={grace}"
+            );
+            assert_eq!(outcome.metrics.messages_sent, base.metrics.messages_sent);
+        }
+    }
+}
+
 #[test]
 fn equivalence_across_population_sizes() {
     // Deliberately awkward sizes: primes, powers of two, one-off-powers.
