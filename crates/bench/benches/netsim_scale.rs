@@ -128,8 +128,9 @@ fn bench_protocol_e2e(c: &mut Criterion) {
     // when NETSIM_SCALE_FULL is set (the recorded median lives in
     // BENCH_baseline.json). The n = 2¹⁶ row always runs and keeps the CI
     // smoke pass fast.
+    // Three samples, so a run's median is one of them, not the mean of two.
     let mut group = c.benchmark_group("netsim_scale_protocol");
-    group.sample_size(2);
+    group.sample_size(3);
     let mut points = vec![(1usize << 16, 256usize, 256usize, 2048usize)];
     if std::env::var("NETSIM_SCALE_FULL").is_ok() {
         points.push((1 << 20, 1024, 256, 4096));
