@@ -12,7 +12,7 @@
 //!   either way, so any gap between `baseline` and `off` is pure noise —
 //!   which is exactly the claim);
 //! * `recording` — deterministic event plane enabled: one `amp.iter`
-//!   event plus two counter bumps per iteration, quantifying what
+//!   event per iteration, quantifying what
 //!   `repro scenarios run <name> --trace` actually pays.
 //!
 //! Single-threaded pool, like `decoder_throughput`, so the numbers

@@ -70,6 +70,19 @@
 //! `agent_size_is_pinned` here and `core_size_is_pinned` in
 //! `npd_netsim::gossip`.
 //!
+//! # Accounting
+//!
+//! Every run reports one phase table, [`ProtocolOutcome::phases`]:
+//! `measure`, `accumulate`, `select` and, under `BatcherSort`, `assign`,
+//! each with its round span and the messages its senders sent. Messages
+//! are counted where they are sent, not derived from the planned
+//! broadcast, so a retransmitted measurement counts as a measurement and
+//! one that a crashed query node never sent counts nowhere. The phases'
+//! messages sum to the engine's `messages_sent` and their rounds to the
+//! run's rounds. [`ProtocolOutcome::selection_rounds`],
+//! [`ProtocolOutcome::selection_messages`] and the traced `phase` events
+//! all read this one table.
+//!
 //! # Agent-level chaos
 //!
 //! [`run_protocol_chaos`] extends the fault surface from messages to
@@ -275,6 +288,10 @@ struct AgentState<'a> {
     /// under `GossipThreshold`, anything but an assignment once passive).
     stale: u64,
     output: Option<bool>,
+    /// Whether the agent has sent its final assignment (`BatcherSort`).
+    /// Like the engine's send count it survives a restart, so the
+    /// `assign` phase counts every assignment that was sent.
+    sent_assign: bool,
 }
 
 /// An agent's lifecycle. It folds measurements until its score round,
@@ -291,12 +308,8 @@ enum Role {
         sums: ScoreAccumulator,
         heard: Vec<u64>,
     },
-    /// The token this sort position holds, and whether it has sent its
-    /// final assignment (used to split the per-phase message accounting).
-    Batcher {
-        token: (f64, u32),
-        sent_assign: bool,
-    },
+    /// The token this sort position holds.
+    Batcher { token: (f64, u32) },
     /// The embedded gossip selection.
     Gossip(TopKCore),
     /// Crashed and rejoined with wiped state ([`Node::on_restart`]). It
@@ -416,24 +429,21 @@ impl AgentState<'_> {
             return activity;
         };
         let token = (self.score, self.pos);
-        let mut sent_assign = false;
         if schedule.depth == 0 {
             // Trivial sort (n = 1): assign immediately.
             let one = (self.pos as usize) < config.k;
             ctx.send(NodeId(self.pos as usize), ProtocolMessage::Assign { one });
-            sent_assign = true;
+            self.sent_assign = true;
         } else if let Some((partner, _)) = schedule.per_layer[0][self.pos as usize] {
             send_token(ctx, partner, token, 0);
         }
-        self.role = Role::Batcher { token, sent_assign };
+        self.role = Role::Batcher { token };
         Activity::Idle
     }
 
     fn batcher_round(&mut self, ctx: &mut Context<'_, ProtocolMessage>, r: u64) -> Activity {
         let config = self.config;
-        let (Some(schedule), Role::Batcher { token, sent_assign }) =
-            (&config.schedule, &mut self.role)
-        else {
+        let (Some(schedule), Role::Batcher { token }) = (&config.schedule, &mut self.role) else {
             unreachable!("batcher_round called outside the Batcher role");
         };
         let resolved_layer = (r - 2 - config.grace) as usize;
@@ -460,7 +470,7 @@ impl AgentState<'_> {
                 // Sorting finished: position < k ⇒ the token's owner is one.
                 let one = (self.pos as usize) < config.k;
                 ctx.send(NodeId(token.1 as usize), ProtocolMessage::Assign { one });
-                *sent_assign = true;
+                self.sent_assign = true;
             }
         } else {
             // Assignment window: delayed assignments are still honored
@@ -626,13 +636,10 @@ pub struct ProtocolOutcome {
     /// carrying up to [`npd_netsim::gossip::THRESHOLDS`] threshold counts
     /// (`0` under [`SelectionStrategy::BatcherSort`]).
     pub probes: u32,
-    /// Rounds attributable to phase II: total rounds minus the
-    /// measurement/accumulation rounds (and, under `BatcherSort`, the
-    /// assignment round). Includes any fault-induced stretch.
-    pub selection_rounds: u64,
-    /// Messages attributable to phase II: total sends minus the
-    /// measurement broadcast and the assignment messages.
-    pub selection_messages: u64,
+    /// The protocol phases in round order, with their rounds and the
+    /// messages their senders sent (see [`Phase`]). Their messages sum to
+    /// `metrics.messages_sent` and their rounds to `rounds`.
+    pub phases: Vec<Phase>,
     /// Stale arrivals counted and ignored by agents: wrong-layer sort
     /// tokens or out-of-phase gossip messages (non-zero only under delay
     /// or duplication faults).
@@ -653,12 +660,55 @@ pub struct ProtocolOutcome {
     pub node_traffic: Vec<NodeTraffic>,
 }
 
+/// One protocol phase of a run: `measure`, `accumulate`, `select`, or
+/// (under [`SelectionStrategy::BatcherSort`] only) `assign`.
+///
+/// Messages are counted at their senders. Query nodes send only
+/// measurements, and they are the only nodes that send reliably, so
+/// `measure` is their sends plus every retransmission. Agents send
+/// selection traffic plus, under `BatcherSort`, one assignment each once
+/// their sort position is final, so `select` is their sends minus those
+/// assignments. `accumulate` sends nothing of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Phase {
+    /// `"measure"`, `"accumulate"`, `"select"` or `"assign"`.
+    pub name: &'static str,
+    /// The phase's first round.
+    pub first_round: u64,
+    /// Rounds the phase spans: 1 for `measure`, `1 + grace` for
+    /// `accumulate` (the grace window and the score round), 1 for
+    /// `assign`, and the rest, including any fault-induced stretch, for
+    /// `select`, which spans 0 when the selection decides at once (as
+    /// with `k = n`). When crashes end a run early, the later phases are
+    /// cut short, so the rounds always sum to the run's.
+    pub rounds: u64,
+    /// Messages the phase's senders sent, retransmissions included.
+    pub messages: u64,
+}
+
 impl ProtocolOutcome {
     /// Number of agents that completed phase II with a decision — the
     /// achieved quorum of the (possibly degraded) run:
     /// `n − missing_assignments`, so `n` on fault-free networks.
     pub fn achieved_quorum(&self) -> usize {
         self.estimate.n() - self.missing_assignments
+    }
+
+    /// Rounds of phase II (top-`k` selection), read from the `select`
+    /// entry of [`ProtocolOutcome::phases`].
+    pub fn selection_rounds(&self) -> u64 {
+        self.select_phase().rounds
+    }
+
+    /// Messages of phase II, read from the `select` entry of
+    /// [`ProtocolOutcome::phases`].
+    pub fn selection_messages(&self) -> u64 {
+        self.select_phase().messages
+    }
+
+    /// Every run lists `select` third, after `measure` and `accumulate`.
+    fn select_phase(&self) -> &Phase {
+        &self.phases[2]
     }
 }
 
@@ -773,15 +823,14 @@ pub fn run_protocol_chaos(
 ///
 /// The sink is handed to the network engine (per-round spans, delivery
 /// and fault deltas, inbox/in-flight histograms; see
-/// [`Network::with_telemetry`]), and on completion the protocol adds its
-/// own deterministic summary: one `phase` event per protocol phase —
-/// measurement broadcast, score accumulation, selection, and (Batcher
-/// only) assignment — carrying the phase's round range and message
-/// count, plus the final [`Metrics`] rows and protocol counters in the
-/// counter registry. Everything recorded is bit-identical across shard
-/// and thread counts; wall-clock phase *timing* comes from joining the
-/// engine's round spans against the phase round ranges in a harness
-/// (contract rule 11 keeps real clocks out of this crate).
+/// [`Network::with_telemetry`]), and on completion the protocol emits one
+/// `phase` event per entry of [`ProtocolOutcome::phases`] — measurement
+/// broadcast, score accumulation, selection, and (Batcher only)
+/// assignment — carrying the phase's round range and message count.
+/// Everything recorded is bit-identical across shard and thread counts;
+/// wall-clock phase *timing* comes from joining the engine's round spans
+/// against the phase round ranges in a harness (contract rule 11 keeps
+/// real clocks out of this crate).
 ///
 /// # Errors
 ///
@@ -812,8 +861,21 @@ pub fn run_protocol_chaos(
 /// let gossip = distributed::run_protocol_chaos_traced(&run, gossip, &sink).unwrap();
 /// assert_eq!(sorted.estimate, gossip.estimate);
 /// assert_eq!(gossip.sort_depth, 0); // no sorting network was built
-/// let counters = sink.snapshot().unwrap().counters;
-/// assert!(counters.contains(&("assign_messages", 0)));
+///
+/// // No assignment phase, and the phases account for every message.
+/// let names: Vec<_> = gossip.phases.iter().map(|p| p.name).collect();
+/// assert_eq!(names, ["measure", "accumulate", "select"]);
+/// let messages: u64 = gossip.phases.iter().map(|p| p.messages).sum();
+/// assert_eq!(messages, gossip.metrics.messages_sent);
+///
+/// // One `phase` event per entry of the table, in round order.
+/// let events = sink.recorder().unwrap().events();
+/// let traced: Vec<_> = events
+///     .iter()
+///     .filter(|e| e.event.name == "phase")
+///     .map(|e| e.event.phase)
+///     .collect();
+/// assert_eq!(traced, names);
 /// ```
 pub fn run_protocol_chaos_traced(
     run: &Run,
@@ -859,14 +921,12 @@ pub fn run_protocol_chaos_traced(
             score: 0.0,
             stale: 0,
             output: None,
+            sent_assign: false,
         }));
     }
-    let mut measurement_messages = 0u64;
     for (j, q) in run.graph().queries().iter().enumerate() {
-        let neighbors: Vec<(u32, u32)> = q.iter().collect();
-        measurement_messages += neighbors.len() as u64;
         nodes.push(ProtocolNode::Query(QueryState {
-            neighbors,
+            neighbors: q.iter().collect(),
             result: run.results()[j],
             slots: q.total_slots(),
             reliable: options.reliable.is_some(),
@@ -933,15 +993,16 @@ pub fn run_protocol_chaos_traced(
         if let ProtocolNode::Agent(agent) = node {
             scores[i] = agent.score;
             stale += agent.stale;
+            assign_messages += u64::from(agent.sent_assign);
             match &agent.role {
-                Role::Batcher { sent_assign, .. } => assign_messages += u64::from(*sent_assign),
                 Role::Gossip(core) => {
                     probes = probes.max(core.probes());
                     stale += core.stale_messages();
                 }
                 Role::Passive => restarted_agents += 1,
-                // Crashed before its score round and never restarted.
-                Role::Fold { .. } => {}
+                // A `Fold` agent crashed before its score round and never
+                // restarted.
+                Role::Batcher { .. } | Role::Fold { .. } => {}
             }
             match agent.output {
                 Some(one) => bits[i] = one,
@@ -958,18 +1019,40 @@ pub fn run_protocol_chaos_traced(
         })
         .collect();
 
-    let grace = options.grace;
-    let selection_rounds = match strategy {
-        // Subtract measure (0), accumulate (1 + grace) and the
-        // assignment round.
-        SelectionStrategy::BatcherSort => report.rounds.saturating_sub(3 + grace),
-        // Subtract measure and accumulate; gossip has no assignment round.
-        SelectionStrategy::GossipThreshold { .. } => report.rounds.saturating_sub(2 + grace),
-    };
-
-    let selection_messages = metrics
-        .messages_sent
-        .saturating_sub(measurement_messages + assign_messages);
+    let sent = |nodes: &[NodeTraffic]| nodes.iter().map(|t| t.sent).sum::<u64>();
+    let measure_messages = sent(&node_traffic[n..]) + metrics.messages_retransmitted;
+    let select_messages = sent(&node_traffic[..n]) - assign_messages;
+    // The phases are contiguous, and each entry below names the round
+    // after its phase. The broadcast takes round 0, the fold runs through
+    // the score round `1 + grace`, Batcher's assignments arrive in the
+    // last round, and selection fills the rest. Clamping to the run's
+    // length keeps the spans summing to it when crashes end a run early.
+    let total = report.rounds;
+    let batcher = strategy == SelectionStrategy::BatcherSort;
+    let accumulated = (2 + options.grace).min(total);
+    let selected = total.saturating_sub(u64::from(batcher)).max(accumulated);
+    let mut spans = vec![
+        ("measure", 1, measure_messages),
+        ("accumulate", accumulated, 0),
+        ("select", selected, select_messages),
+    ];
+    if batcher {
+        spans.push(("assign", total, assign_messages));
+    }
+    let mut first_round = 0;
+    let phases = spans
+        .into_iter()
+        .map(|(name, end, messages)| {
+            let phase = Phase {
+                name,
+                first_round,
+                rounds: end - first_round,
+                messages,
+            };
+            first_round = end;
+            phase
+        })
+        .collect();
 
     let outcome = ProtocolOutcome {
         estimate: Estimate::from_parts(bits, scores),
@@ -978,8 +1061,7 @@ pub fn run_protocol_chaos_traced(
         strategy,
         sort_depth,
         probes,
-        selection_rounds,
-        selection_messages,
+        phases,
         stale_messages: stale,
         missing_assignments: missing,
         agent_liveness,
@@ -987,59 +1069,29 @@ pub fn run_protocol_chaos_traced(
         node_traffic,
     };
 
-    if telemetry.is_enabled() {
-        // Phase boundaries mirror the selection_rounds arithmetic above:
-        // measurement broadcast is round 0, accumulation spans the grace
-        // window plus the score round, selection fills the middle, and
-        // Batcher spends the final round on assignments. Emitted serially
-        // after the run, so the stream stays bit-identical across shard
-        // and thread counts; a harness joins these round ranges against
-        // the engine's per-round spans for wall-clock phase shares.
-        let accumulate_end = 1 + grace;
-        let select_end = accumulate_end + selection_rounds;
-        let phase_event = |name: &'static str, first: u64, last: u64, messages: u64| {
-            Event::instant("phase")
-                .phase(name)
-                .round(first)
-                .u64("first_round", first)
-                .u64("last_round", last)
-                .u64("rounds", last.saturating_sub(first) + 1)
-                .u64("messages", messages)
-        };
-        telemetry.emit(|| phase_event("measure", 0, 0, measurement_messages));
-        telemetry.emit(|| phase_event("accumulate", 1, accumulate_end, 0));
+    // One `phase` event per phase, emitted serially after the run, so the
+    // stream stays bit-identical across shard and thread counts; a harness
+    // joins these round ranges against the engine's per-round spans for
+    // wall-clock phase shares. `last_round < first_round` marks an empty
+    // phase.
+    for phase in &outcome.phases {
         telemetry.emit(|| {
-            let mut e = phase_event("select", accumulate_end + 1, select_end, selection_messages);
-            if let SelectionStrategy::GossipThreshold { .. } = strategy {
-                e = e.u64("probes", u64::from(probes));
-            }
-            e
-        });
-        if let SelectionStrategy::BatcherSort = strategy {
-            telemetry.emit(|| {
-                phase_event(
-                    "assign",
-                    report.rounds.saturating_sub(1),
-                    report.rounds.saturating_sub(1),
-                    assign_messages,
+            let event = Event::instant("phase")
+                .phase(phase.name)
+                .round(phase.first_round)
+                .u64("first_round", phase.first_round)
+                .u64(
+                    "last_round",
+                    (phase.first_round + phase.rounds).saturating_sub(1),
                 )
-            });
-        }
-        // Final accounting into the counter registry: the engine's
-        // Metrics rows (the satellite `as_rows` enumeration) plus the
-        // protocol-level tallies.
-        for (name, value) in metrics.as_rows() {
-            telemetry.add(name, value);
-        }
-        telemetry.add("measurement_messages", measurement_messages);
-        telemetry.add("selection_messages", selection_messages);
-        telemetry.add("assign_messages", assign_messages);
-        telemetry.add("stale_messages", stale);
-        telemetry.add("probes", u64::from(probes));
-        telemetry.add("selection_rounds", selection_rounds);
-        telemetry.add("missing_assignments", missing as u64);
-        telemetry.add("achieved_quorum", outcome.achieved_quorum() as u64);
-        telemetry.add("restarted_agents", restarted_agents as u64);
+                .u64("rounds", phase.rounds)
+                .u64("messages", phase.messages);
+            if phase.name == "select" && !batcher {
+                event.u64("probes", u64::from(probes))
+            } else {
+                event
+            }
+        });
     }
     Ok(outcome)
 }
@@ -1147,10 +1199,10 @@ mod tests {
             .sum();
         // All non-measurement traffic belongs to the selection phase.
         assert_eq!(
-            outcome.selection_messages,
+            outcome.selection_messages(),
             outcome.metrics.messages_sent - measurement
         );
-        assert_eq!(outcome.selection_rounds, outcome.rounds - 2);
+        assert_eq!(outcome.selection_rounds(), outcome.rounds - 2);
     }
 
     #[test]
@@ -1158,7 +1210,7 @@ mod tests {
         let run = sample_run(32, 2, 10, NoiseModel::Noiseless, 1);
         let outcome = run_protocol_chaos(&run, ProtocolOptions::default()).unwrap();
         assert_eq!(outcome.rounds, outcome.sort_depth as u64 + 3);
-        assert_eq!(outcome.selection_rounds, outcome.sort_depth as u64);
+        assert_eq!(outcome.selection_rounds(), outcome.sort_depth as u64);
     }
 
     #[test]
@@ -1176,7 +1228,7 @@ mod tests {
         let comparators = SortingNetwork::batcher_odd_even(40).comparator_count() as u64;
         let want = measurement_msgs + 2 * comparators + 40;
         assert_eq!(outcome.metrics.messages_sent, want);
-        assert_eq!(outcome.selection_messages, 2 * comparators);
+        assert_eq!(outcome.selection_messages(), 2 * comparators);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! repro scenarios run <name>|--all [--full] [--json] [--out DIR] [--trials N] [--threads N]
 //!
 //! targets: fig1 fig2 fig3 fig4 fig5 fig6 fig7 theorems comm ablations
-//!          decoders adaptive designs linear workloads chaos all
+//!          decoders adaptive designs linear workloads chaos categorical all
 //!
 //! `--json` prints each report as a machine-readable JSON document (and
 //! writes `<name>.json` next to the CSV) for the bench/CI pipeline.
@@ -41,8 +41,32 @@ const USAGE: &str = "usage: repro <fig1|fig2|fig3|fig4|fig5|fig6|fig7|theorems|c
 `--trace FILE` additionally runs one representative traced execution of the \
 scenario and writes its event stream: `.jsonl` selects the deterministic \
 JSON-lines plane, any other extension the Chrome trace-event format. \
-`--metrics` prints the recorded counter/gauge/histogram registry and, for \
-protocol scenarios, the per-phase message profile.";
+`--metrics` prints the recorded histograms and, for protocol scenarios, the \
+per-phase message profile.";
+
+/// A figure target: its name on the command line and its runner.
+type Target = (&'static str, fn(&RunOptions) -> FigureReport);
+
+/// Every figure target, in the order `all` runs them.
+const TARGETS: [Target; 17] = [
+    ("fig1", |_| figures::fig1::run()),
+    ("fig2", figures::fig2::run),
+    ("fig3", figures::fig3::run),
+    ("fig4", figures::fig4::run),
+    ("fig5", figures::fig5::run),
+    ("fig6", figures::fig6::run),
+    ("fig7", figures::fig7::run),
+    ("theorems", figures::theorems::run),
+    ("comm", figures::comm::run),
+    ("ablations", figures::ablations::run),
+    ("decoders", figures::decoders::run),
+    ("adaptive", figures::adaptive::run),
+    ("designs", figures::designs::run),
+    ("linear", figures::linear::run),
+    ("workloads", figures::workloads::run),
+    ("chaos", figures::chaos::run),
+    ("categorical", figures::categorical::run),
+];
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Cli {
@@ -61,7 +85,7 @@ struct Cli {
     /// `--trace FILE`: write the representative traced execution's event
     /// stream here (`.jsonl` = deterministic plane, else Chrome trace).
     trace: Option<PathBuf>,
-    /// `--metrics`: print the recorded metrics registry and phase profile.
+    /// `--metrics`: print the recorded histograms and phase profile.
     metrics: bool,
 }
 
@@ -175,27 +199,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             metrics,
         });
     }
-    const KNOWN: [&str; 18] = [
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "theorems",
-        "comm",
-        "ablations",
-        "decoders",
-        "adaptive",
-        "designs",
-        "linear",
-        "workloads",
-        "chaos",
-        "categorical",
-        "all",
-    ];
-    if !KNOWN.contains(&target.as_str()) {
+    if target != "all" && !TARGETS.iter().any(|&(name, _)| name == target) {
         return Err(format!("unknown target {target}"));
     }
     Ok(Cli {
@@ -221,34 +225,13 @@ fn execute(cli: Cli) -> ExitCode {
     if cli.target == "scenarios" {
         return execute_scenarios(&cli, &opts);
     }
-    let targets: Vec<&str> = if cli.target == "all" {
-        vec![
-            "fig1",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "theorems",
-            "comm",
-            "ablations",
-            "decoders",
-            "adaptive",
-            "designs",
-            "linear",
-            "workloads",
-            "chaos",
-            "categorical",
-        ]
-    } else {
-        vec![cli.target.as_str()]
-    };
-
-    for target in targets {
+    let targets = TARGETS
+        .iter()
+        .filter(|&&(name, _)| cli.target == "all" || cli.target == name);
+    for &(target, run) in targets {
         // xtask:allow(wall-clock): elapsed time is printed for the human, never written into a report/CSV
         let start = Instant::now();
-        let report = run_target(target, &opts);
+        let report = run(&opts);
         let elapsed = start.elapsed();
         if let Err(e) = emit_report(&report, &cli, elapsed) {
             eprintln!("error: writing artifacts for {target}: {e}");
@@ -337,29 +320,6 @@ fn emit_trace(scenario: &scenarios::Scenario, cli: &Cli, opts: &RunOptions) -> s
         }
     }
     Ok(())
-}
-
-fn run_target(target: &str, opts: &RunOptions) -> FigureReport {
-    match target {
-        "fig1" => figures::fig1::run(),
-        "fig2" => figures::fig2::run(opts),
-        "fig3" => figures::fig3::run(opts),
-        "fig4" => figures::fig4::run(opts),
-        "fig5" => figures::fig5::run(opts),
-        "fig6" => figures::fig6::run(opts),
-        "fig7" => figures::fig7::run(opts),
-        "theorems" => figures::theorems::run(opts),
-        "comm" => figures::comm::run(opts),
-        "ablations" => figures::ablations::run(opts),
-        "decoders" => figures::decoders::run(opts),
-        "adaptive" => figures::adaptive::run(opts),
-        "designs" => figures::designs::run(opts),
-        "linear" => figures::linear::run(opts),
-        "workloads" => figures::workloads::run(opts),
-        "chaos" => figures::chaos::run(opts),
-        "categorical" => figures::categorical::run(opts),
-        other => unreachable!("target {other} validated in parse()"),
-    }
 }
 
 #[cfg(test)]

@@ -650,7 +650,11 @@ pub fn run(scenario: &Scenario, opts: &RunOptions) -> FigureReport {
 }
 
 /// Runs one *representative traced execution* of a scenario into `sink`
-/// and returns a short label describing what was traced.
+/// and returns a short label describing what was traced; for protocol
+/// scenarios the label is followed by the outcome's accounting table
+/// (the engine's [`npd_netsim::Metrics`] rows plus the protocol's stale
+/// messages, probes, missing assignments, achieved quorum and restarted
+/// agents).
 ///
 /// The normal scenario run ([`run`]) stays untraced — its pinned CSV
 /// outputs are untouched — and a single extra execution at the
@@ -663,7 +667,7 @@ pub fn run(scenario: &Scenario, opts: &RunOptions) -> FigureReport {
 /// Dispatch mirrors the measurement kinds: distributed scenarios run the
 /// full protocol through
 /// [`distributed::run_protocol_chaos_traced`] (phase events, netsim
-/// round spans, counter dump), categorical scenarios run
+/// round spans), categorical scenarios run
 /// [`npd_amp::matrix_amp::run_matrix_amp_traced`], and batch scenarios
 /// attach the sink to the decoder's workspace (AMP iterations, BP
 /// passes, greedy score margins).
@@ -713,11 +717,24 @@ pub fn run_traced(
         };
         let outcome = distributed::run_protocol_chaos_traced(&run, options, sink)
             .expect("protocol terminates within its budget");
+        let rows: Vec<Vec<String>> = outcome
+            .metrics
+            .as_rows()
+            .chain([
+                ("stale_messages", outcome.stale_messages),
+                ("probes", u64::from(outcome.probes)),
+                ("missing_assignments", outcome.missing_assignments as u64),
+                ("achieved_quorum", outcome.achieved_quorum() as u64),
+                ("restarted_agents", outcome.restarted_agents as u64),
+            ])
+            .map(|(name, value)| vec![name.to_string(), value.to_string()])
+            .collect();
         return format!(
-            "{} n={n} m={m} rounds={} messages={}",
+            "{} n={n} m={m} rounds={} messages={}\n{}",
             scenario.decoder.name(),
             outcome.rounds,
-            outcome.metrics.messages_sent
+            outcome.metrics.messages_sent,
+            table(&["outcome", "value"], &rows)
         );
     }
 
@@ -1187,8 +1204,8 @@ fn run_protocol_cost(scenario: &Scenario, opts: &RunOptions) -> FigureReport {
         };
         let rounds = mean(&|o| o.rounds as f64);
         let messages = mean(&|o| o.metrics.messages_sent as f64);
-        let sel_rounds = mean(&|o| o.selection_rounds as f64);
-        let sel_messages = mean(&|o| o.selection_messages as f64);
+        let sel_rounds = mean(&|o| o.selection_rounds() as f64);
+        let sel_messages = mean(&|o| o.selection_messages() as f64);
         let probes = mean(&|o| o.probes as f64);
         let stale = mean(&|o| o.stale_messages as f64);
         let missing = mean(&|o| o.missing_assignments as f64);

@@ -88,29 +88,11 @@ fn is_jsonl(path: &Path) -> bool {
     path.extension().is_some_and(|e| e == "jsonl")
 }
 
-/// Renders the metrics registry (counters, gauges, histograms) and —
-/// when the run emitted protocol `phase` events — the per-phase
-/// round/message profile, as an ASCII table block for `--metrics`.
+/// Renders the histogram registry and — when the run emitted protocol
+/// `phase` events — the per-phase round/message profile, as an ASCII
+/// table block for `--metrics`.
 pub fn render_metrics(snapshot: &MetricsSnapshot, events: &[RecordedEvent]) -> String {
     let mut out = String::new();
-    if !snapshot.counters.is_empty() {
-        let rows: Vec<Vec<String>> = snapshot
-            .counters
-            .iter()
-            .map(|&(name, value)| vec![name.to_string(), value.to_string()])
-            .collect();
-        out.push_str(&crate::output::table(&["counter", "value"], &rows));
-        out.push('\n');
-    }
-    if !snapshot.gauges.is_empty() {
-        let rows: Vec<Vec<String>> = snapshot
-            .gauges
-            .iter()
-            .map(|&(name, value)| vec![name.to_string(), format!("{value}")])
-            .collect();
-        out.push_str(&crate::output::table(&["gauge", "value"], &rows));
-        out.push('\n');
-    }
     if !snapshot.histograms.is_empty() {
         let rows: Vec<Vec<String>> = snapshot
             .histograms
@@ -202,10 +184,10 @@ mod tests {
         // .jsonl → deterministic plane (null clock): export carries no
         // wall timestamps, so two runs are byte-identical.
         let jsonl = build_sink(Some(Path::new("/tmp/t.jsonl")));
-        jsonl.add("x", 1);
+        jsonl.record("x", 1);
         let a = jsonl.export_jsonl().unwrap();
         let again = build_sink(Some(Path::new("/tmp/t.jsonl")));
-        again.add("x", 1);
+        again.record("x", 1);
         assert_eq!(a, again.export_jsonl().unwrap());
         // .json → Chrome trace with the wall clock attached.
         let chrome = build_sink(Some(Path::new("/tmp/t.json")));

@@ -13,8 +13,6 @@
 //! * [`SortingNetwork::batcher_odd_even`] — Batcher's odd-even mergesort for
 //!   arbitrary `n`, depth `O(log² n)`, size `O(n log² n)`. This is the
 //!   network the distributed protocol uses.
-//! * [`SortingNetwork::bitonic`] — Batcher's bitonic sorter (power-of-two
-//!   sizes), same asymptotics, more regular structure.
 //! * [`SortingNetwork::odd_even_transposition`] — the brick-wall network of
 //!   depth `n`, used as a baseline in the round-complexity ablation.
 //!
@@ -46,8 +44,7 @@ use serde::{Deserialize, Serialize};
 /// wired values sits at [`lo`](Self::lo) and the maximum at
 /// [`hi`](Self::hi).
 ///
-/// `lo` and `hi` are *positions*, and `lo > hi` is allowed — bitonic
-/// networks contain descending comparators.
+/// `lo` and `hi` are *positions*, and `lo > hi` is allowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Comparator {
     /// Position receiving the smaller value.
@@ -151,39 +148,6 @@ impl SortingNetwork {
                 }
                 p *= 2;
             }
-        }
-        Self::from_comparators(n, &comparators)
-    }
-
-    /// Batcher's bitonic sorter (ascending).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is not a power of two (use
-    /// [`batcher_odd_even`](Self::batcher_odd_even) for general sizes).
-    pub fn bitonic(n: usize) -> Self {
-        assert!(
-            n.is_power_of_two(),
-            "SortingNetwork::bitonic: n={n} must be a power of two"
-        );
-        let mut comparators = Vec::new();
-        let mut k = 2usize;
-        while k <= n {
-            let mut j = k / 2;
-            while j > 0 {
-                for i in 0..n {
-                    let l = i ^ j;
-                    if l > i {
-                        if i & k == 0 {
-                            comparators.push(Comparator::new(i, l));
-                        } else {
-                            comparators.push(Comparator::new(l, i));
-                        }
-                    }
-                }
-                j /= 2;
-            }
-            k *= 2;
         }
         Self::from_comparators(n, &comparators)
     }
@@ -307,25 +271,11 @@ mod tests {
     }
 
     #[test]
-    fn bitonic_sorts_zero_one() {
-        for n in [1usize, 2, 4, 8, 16] {
-            let net = SortingNetwork::bitonic(n);
-            assert!(net.sorts_all_zero_one_inputs(), "bitonic n={n}");
-        }
-    }
-
-    #[test]
     fn transposition_sorts_zero_one() {
         for n in 0..=9 {
             let net = SortingNetwork::odd_even_transposition(n);
             assert!(net.sorts_all_zero_one_inputs(), "transposition n={n}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bitonic_rejects_non_power_of_two() {
-        SortingNetwork::bitonic(6);
     }
 
     #[test]
@@ -336,17 +286,6 @@ mod tests {
             let net = SortingNetwork::batcher_odd_even(n);
             let want = (t * (t + 1) / 2) as usize;
             assert_eq!(net.depth(), want, "n={n}");
-        }
-    }
-
-    #[test]
-    fn bitonic_comparator_count_formula() {
-        // Bitonic sorter on n = 2^t has n·t(t+1)/4 comparators.
-        for t in 1..=6u32 {
-            let n = 1usize << t;
-            let net = SortingNetwork::bitonic(n);
-            let want = n * (t as usize) * (t as usize + 1) / 4;
-            assert_eq!(net.comparator_count(), want, "n={n}");
         }
     }
 
@@ -364,7 +303,6 @@ mod tests {
     fn layers_are_disjoint() {
         for net in [
             SortingNetwork::batcher_odd_even(19),
-            SortingNetwork::bitonic(16),
             SortingNetwork::odd_even_transposition(11),
         ] {
             for (li, layer) in net.layers().iter().enumerate() {

@@ -9,14 +9,17 @@
 //! touching the determinism contract, by splitting observability into
 //! two strictly separated planes:
 //!
-//! 1. **The deterministic event plane** — counters, gauges, fixed-log2
-//!    histograms, and structured events keyed by
-//!    `(phase, round/iteration, shard)`. Everything recorded here is a
-//!    contract-pure quantity (message counts, fault tallies, residual
-//!    norms, score margins, per-iteration deltas), and every producer
-//!    records from a *serial* section of its engine, so the recorded
-//!    stream is required to be bit-identical across shard and thread
-//!    counts (pinned by `tests/determinism.rs` in the workspace root).
+//! 1. **The deterministic event plane** — fixed-log2 histograms and
+//!    structured events keyed by `(phase, round/iteration, shard)`.
+//!    Totals a producer already keeps (the netsim `Metrics`, the
+//!    protocol's phase table) stay with that producer as the one source
+//!    of each count; the plane has no counter or gauge registry that
+//!    would copy them. Everything recorded here is a contract-pure
+//!    quantity (message counts, fault tallies, residual norms, score
+//!    margins, per-iteration deltas), and every producer records from a
+//!    *serial* section of its engine, so the recorded stream is required
+//!    to be bit-identical across shard and thread counts (pinned by
+//!    `tests/determinism.rs` in the workspace root).
 //!    [`Recorder::export_jsonl`] serializes exactly this plane and
 //!    nothing else.
 //! 2. **The optional wall-clock plane** — a [`Clock`] trait attaches
@@ -43,7 +46,6 @@
 //! use npd_telemetry::{Event, TelemetrySink};
 //!
 //! let sink = TelemetrySink::recording();
-//! sink.add("messages_sent", 3);
 //! sink.record("inbox_len", 7);
 //! sink.emit(|| Event::instant("round").phase("netsim").round(0).u64("sent", 3));
 //! let jsonl = sink.export_jsonl().unwrap();
@@ -296,25 +298,18 @@ impl Histogram {
     }
 }
 
-/// Deterministic-plane registries plus the ordered event stream.
+/// The deterministic-plane histogram registry plus the ordered event
+/// stream.
 #[derive(Debug, Default)]
 struct State {
-    counters: BTreeMap<&'static str, u64>,
-    /// Gauge values stored as `f64::to_bits` so the registry map stays
-    /// `Eq`-comparable and export is trivially bit-stable.
-    gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
     events: Vec<RecordedEvent>,
 }
 
-/// A point-in-time copy of the deterministic registries, for metric
-/// tables and tests.
+/// A point-in-time copy of the deterministic plane, for metric tables
+/// and tests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Counter registry in name order.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Gauge registry in name order.
-    pub gauges: Vec<(&'static str, f64)>,
     /// Histogram registry in name order.
     pub histograms: Vec<(&'static str, Histogram)>,
     /// Number of recorded events.
@@ -340,22 +335,16 @@ pub struct Recorder {
 impl Recorder {
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
         // A poisoned telemetry mutex only means a producer panicked
-        // mid-record; the registries are still well-formed, and losing
+        // mid-record; the recorded state is still well-formed, and losing
         // the trace of a crashing run would hide exactly the evidence
         // wanted most.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Current snapshot of the counter/gauge/histogram registries.
+    /// Current snapshot of the histogram registry and the event count.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let st = self.lock();
         MetricsSnapshot {
-            counters: st.counters.iter().map(|(&k, &v)| (k, v)).collect(),
-            gauges: st
-                .gauges
-                .iter()
-                .map(|(&k, &v)| (k, f64::from_bits(v)))
-                .collect(),
             histograms: st.histograms.iter().map(|(&k, v)| (k, v.clone())).collect(),
             events: st.events.len(),
         }
@@ -367,33 +356,18 @@ impl Recorder {
     }
 
     /// Serializes the **deterministic plane only** as JSON lines: one
-    /// meta line, the counter/gauge/histogram registries in name order,
-    /// then every event in record order. Wall-clock timestamps are
-    /// deliberately excluded, so this export is required to be
-    /// byte-identical across shard and thread counts.
+    /// meta line, the histogram registry in name order, then every event
+    /// in record order. Wall-clock timestamps are deliberately excluded,
+    /// so this export is required to be byte-identical across shard and
+    /// thread counts.
     pub fn export_jsonl(&self) -> String {
         let st = self.lock();
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"type\":\"meta\",\"schema\":1,\"events\":{},\"counters\":{},\"gauges\":{},\"histograms\":{}}}\n",
+            "{{\"type\":\"meta\",\"schema\":2,\"events\":{},\"histograms\":{}}}\n",
             st.events.len(),
-            st.counters.len(),
-            st.gauges.len(),
             st.histograms.len(),
         ));
-        for (name, value) in &st.counters {
-            out.push_str(&format!(
-                "{{\"type\":\"counter\",\"name\":{},\"value\":{value}}}\n",
-                json_str(name)
-            ));
-        }
-        for (name, bits) in &st.gauges {
-            out.push_str(&format!(
-                "{{\"type\":\"gauge\",\"name\":{},\"value\":{}}}\n",
-                json_str(name),
-                json_f64(f64::from_bits(*bits))
-            ));
-        }
         for (name, h) in &st.histograms {
             let buckets: Vec<String> = h
                 .nonzero_buckets()
@@ -435,16 +409,13 @@ impl Recorder {
     /// Serializes the event stream in Chrome trace-event format
     /// (loadable in `chrome://tracing` / Perfetto). Timestamps come
     /// from the wall-clock plane when a real [`Clock`] was attached and
-    /// fall back to the logical sequence number otherwise; counters are
-    /// appended as `ph: "C"` samples.
+    /// fall back to the logical sequence number otherwise.
     pub fn export_chrome_trace(&self) -> String {
         let st = self.lock();
-        let mut entries: Vec<String> = Vec::with_capacity(st.events.len() + st.counters.len());
-        let mut last_ts = 0u64;
+        let mut entries: Vec<String> = Vec::with_capacity(st.events.len());
         for rec in &st.events {
             let e = &rec.event;
             let ts = if self.wall { rec.wall_micros } else { rec.seq };
-            last_ts = last_ts.max(ts);
             let ph = match e.kind {
                 EventKind::Begin => "\"ph\":\"B\"",
                 EventKind::End => "\"ph\":\"E\"",
@@ -459,12 +430,6 @@ impl Recorder {
                 json_str(e.name),
                 json_str(if e.phase.is_empty() { "trace" } else { e.phase }),
                 e.shard,
-            ));
-        }
-        for (name, value) in &st.counters {
-            entries.push(format!(
-                "{{\"name\":{},\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":{last_ts},\"args\":{{\"value\":{value}}}}}",
-                json_str(name)
             ));
         }
         format!("{{\"traceEvents\":[{}]}}\n", entries.join(","))
@@ -582,20 +547,6 @@ impl TelemetrySink {
         }
     }
 
-    /// Adds `delta` to a named counter.
-    pub fn add(&self, name: &'static str, delta: u64) {
-        if let Some(rec) = &self.0 {
-            *rec.lock().counters.entry(name).or_insert(0) += delta;
-        }
-    }
-
-    /// Sets a named gauge.
-    pub fn gauge(&self, name: &'static str, value: f64) {
-        if let Some(rec) = &self.0 {
-            rec.lock().gauges.insert(name, value.to_bits());
-        }
-    }
-
     /// Records a value into a named log2 histogram.
     pub fn record(&self, name: &'static str, value: u64) {
         if let Some(rec) = &self.0 {
@@ -627,8 +578,6 @@ mod tests {
     fn disabled_sink_is_inert() {
         let sink = TelemetrySink::default();
         assert!(!sink.is_enabled());
-        sink.add("c", 1);
-        sink.gauge("g", 1.0);
         sink.record("h", 1);
         sink.emit(|| unreachable!("must not be called"));
         assert!(sink.snapshot().is_none());
@@ -639,14 +588,14 @@ mod tests {
     #[test]
     fn registries_accumulate_in_name_order() {
         let sink = TelemetrySink::recording();
-        sink.add("b", 2);
-        sink.add("a", 1);
-        sink.add("b", 3);
-        sink.gauge("g", 0.5);
-        sink.gauge("g", 1.5);
+        sink.record("b", 2);
+        sink.record("a", 1);
+        sink.record("b", 3);
         let snap = sink.snapshot().unwrap();
-        assert_eq!(snap.counters, vec![("a", 1), ("b", 5)]);
-        assert_eq!(snap.gauges, vec![("g", 1.5)]);
+        let names: Vec<_> = snap.histograms.iter().map(|&(name, _)| name).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert_eq!(snap.histograms[1].1.count(), 2);
+        assert_eq!(snap.histograms[1].1.sum(), 5);
     }
 
     #[test]
@@ -687,9 +636,7 @@ mod tests {
     fn jsonl_export_is_deterministic_and_replayable() {
         let record = || {
             let sink = TelemetrySink::recording();
-            sink.add("sent", 7);
             sink.record("inbox", 3);
-            sink.gauge("delta", 0.125);
             sink.emit(|| {
                 Event::instant("iter")
                     .phase("amp")
@@ -700,9 +647,7 @@ mod tests {
         };
         let a = record();
         assert_eq!(a, record());
-        assert!(a.starts_with("{\"type\":\"meta\",\"schema\":1,"));
-        assert!(a.contains("\"type\":\"counter\",\"name\":\"sent\",\"value\":7"));
-        assert!(a.contains("\"type\":\"gauge\",\"name\":\"delta\",\"value\":0.125"));
+        assert!(a.starts_with("{\"type\":\"meta\",\"schema\":2,"));
         assert!(a.contains("\"log2_buckets\":[[2,1]]"));
         assert!(a.contains("\"fields\":{\"tau2\":0.5}"));
         // Every line is a JSON object line.
@@ -714,12 +659,10 @@ mod tests {
         let sink = TelemetrySink::recording();
         sink.emit(|| Event::begin("round").phase("netsim"));
         sink.emit(|| Event::end("round").phase("netsim"));
-        sink.add("sent", 2);
         let trace = sink.export_chrome_trace().unwrap();
         assert!(trace.starts_with("{\"traceEvents\":["));
         assert!(trace.contains("\"ph\":\"B\""));
         assert!(trace.contains("\"ph\":\"E\",\"pid\":0,\"tid\":0,\"ts\":1"));
-        assert!(trace.contains("\"ph\":\"C\""));
     }
 
     #[test]
@@ -743,9 +686,9 @@ mod tests {
     fn clones_share_one_recorder() {
         let sink = TelemetrySink::recording();
         let clone = sink.clone();
-        clone.add("c", 1);
-        sink.add("c", 1);
-        assert_eq!(sink.snapshot().unwrap().counters, vec![("c", 2)]);
+        clone.record("h", 1);
+        sink.record("h", 1);
+        assert_eq!(sink.snapshot().unwrap().histograms[0].1.count(), 2);
     }
 
     #[test]

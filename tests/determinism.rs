@@ -595,7 +595,7 @@ fn workload_sampling_grid_is_identical_across_thread_counts() {
 
 /// Contract rule 11: the deterministic telemetry plane. The JSONL export
 /// of a chaos protocol run — netsim round events, per-node inbox
-/// histograms, phase summaries, the full counter dump — is
+/// histograms, the protocol's `phase` events — is
 /// **byte-identical** across shard counts {1, 8} × thread counts {1, 4},
 /// exactly like the outcome it observes.
 #[test]
