@@ -175,57 +175,75 @@ fn chaos_faults() -> FaultConfig {
         .with_max_delay(2)
 }
 
-#[test]
-fn accounting_reconciles_fault_free() {
+/// Fault-free: `measure` is exactly the planned broadcast and the links
+/// drop, duplicate and delay nothing.
+fn check_fault_free(strategy: SelectionStrategy) {
     let run = sample_run(96, 3, 80, 77);
-    for strategy in STRATEGIES {
-        let label = format!("{strategy}/clean");
-        let options = ProtocolOptions {
-            strategy,
-            ..ProtocolOptions::default()
-        };
-        let outcome = check_accounting(&run, options, &label);
-        assert_eq!(
-            phase(&outcome, "measure").messages,
-            planned_measurements(&run),
-            "{label}"
-        );
-        assert_batcher_sends(&run, &outcome, &label);
-        if strategy != SelectionStrategy::BatcherSort {
-            assert!(outcome.probes > 0, "{label}: gossip made no probes");
-        }
-        let m = outcome.metrics;
-        assert_eq!(
-            m.messages_dropped + m.messages_duplicated + m.messages_delayed,
-            0,
-            "{label}"
-        );
+    let label = format!("{strategy}/clean");
+    let options = ProtocolOptions {
+        strategy,
+        ..ProtocolOptions::default()
+    };
+    let outcome = check_accounting(&run, options, &label);
+    assert_eq!(
+        phase(&outcome, "measure").messages,
+        planned_measurements(&run),
+        "{label}"
+    );
+    assert_batcher_sends(&run, &outcome, &label);
+    if strategy != SelectionStrategy::BatcherSort {
+        assert!(outcome.probes > 0, "{label}: gossip made no probes");
     }
+    let m = outcome.metrics;
+    assert_eq!(
+        m.messages_dropped + m.messages_duplicated + m.messages_delayed,
+        0,
+        "{label}"
+    );
+}
+
+/// Under loss, duplication and delay the phases still count sends, so
+/// `measure` stays the planned broadcast.
+fn check_under_loss_dup_delay(strategy: SelectionStrategy) {
+    let run = sample_run(96, 3, 80, 77);
+    let label = format!("{strategy}/faults");
+    let options = ProtocolOptions {
+        strategy,
+        faults: Some(chaos_faults()),
+        ..ProtocolOptions::default()
+    };
+    let outcome = check_accounting(&run, options, &label);
+    let m = outcome.metrics;
+    assert!(m.messages_dropped > 0, "{label}: no drop drawn");
+    assert!(m.messages_duplicated > 0, "{label}: no duplicate drawn");
+    assert!(m.messages_delayed > 0, "{label}: no delay drawn");
+    // Duplicates and drops happen on the links, after the send.
+    assert_eq!(
+        phase(&outcome, "measure").messages,
+        planned_measurements(&run),
+        "{label}"
+    );
+    assert_batcher_sends(&run, &outcome, &label);
 }
 
 #[test]
-fn accounting_reconciles_under_loss_dup_delay() {
-    let run = sample_run(96, 3, 80, 77);
-    for strategy in STRATEGIES {
-        let label = format!("{strategy}/faults");
-        let options = ProtocolOptions {
-            strategy,
-            faults: Some(chaos_faults()),
-            ..ProtocolOptions::default()
-        };
-        let outcome = check_accounting(&run, options, &label);
-        let m = outcome.metrics;
-        assert!(m.messages_dropped > 0, "{label}: no drop drawn");
-        assert!(m.messages_duplicated > 0, "{label}: no duplicate drawn");
-        assert!(m.messages_delayed > 0, "{label}: no delay drawn");
-        // Duplicates and drops happen on the links, after the send.
-        assert_eq!(
-            phase(&outcome, "measure").messages,
-            planned_measurements(&run),
-            "{label}"
-        );
-        assert_batcher_sends(&run, &outcome, &label);
-    }
+fn batcher_accounting_reconciles_fault_free() {
+    check_fault_free(SelectionStrategy::BatcherSort);
+}
+
+#[test]
+fn gossip_accounting_reconciles_fault_free() {
+    check_fault_free(SelectionStrategy::gossip());
+}
+
+#[test]
+fn batcher_accounting_reconciles_under_loss_dup_delay() {
+    check_under_loss_dup_delay(SelectionStrategy::BatcherSort);
+}
+
+#[test]
+fn gossip_accounting_reconciles_under_loss_dup_delay() {
+    check_under_loss_dup_delay(SelectionStrategy::gossip());
 }
 
 /// Retransmitted measurements belong to `measure`, not to the selection.
