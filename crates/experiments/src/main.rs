@@ -42,7 +42,7 @@ const USAGE: &str = "usage: repro <fig1|fig2|fig3|fig4|fig5|fig6|fig7|theorems|c
 scenario and writes its event stream: `.jsonl` selects the deterministic \
 JSON-lines plane, any other extension the Chrome trace-event format. \
 `--metrics` prints the recorded histograms and, for protocol scenarios, the \
-per-phase message profile.";
+traced run's outcome table and per-phase message profile.";
 
 /// A figure target: its name on the command line and its runner.
 type Target = (&'static str, fn(&RunOptions) -> FigureReport);
@@ -85,7 +85,8 @@ struct Cli {
     /// `--trace FILE`: write the representative traced execution's event
     /// stream here (`.jsonl` = deterministic plane, else Chrome trace).
     trace: Option<PathBuf>,
-    /// `--metrics`: print the recorded histograms and phase profile.
+    /// `--metrics`: print the recorded histograms and, for protocol
+    /// scenarios, the outcome table and phase profile.
     metrics: bool,
 }
 
@@ -308,13 +309,16 @@ fn execute_scenarios(cli: &Cli, opts: &RunOptions) -> ExitCode {
 /// Chrome trace-event JSON with wall-clock timestamps.
 fn emit_trace(scenario: &scenarios::Scenario, cli: &Cli, opts: &RunOptions) -> std::io::Result<()> {
     let sink = trace::build_sink(cli.trace.as_deref());
-    let label = scenarios::run_traced(scenario, opts, &sink);
+    let (label, outcome) = scenarios::run_traced(scenario, opts, &sink);
     println!("traced: {label}");
     if let Some(path) = &cli.trace {
         trace::write_trace(&sink, path)?;
         println!("  trace: {}", path.display());
     }
     if cli.metrics {
+        if let Some(outcome) = outcome {
+            print!("{outcome}");
+        }
         if let (Some(snapshot), Some(recorder)) = (sink.snapshot(), sink.recorder()) {
             print!("{}", trace::render_metrics(&snapshot, &recorder.events()));
         }

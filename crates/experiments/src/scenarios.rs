@@ -650,11 +650,10 @@ pub fn run(scenario: &Scenario, opts: &RunOptions) -> FigureReport {
 }
 
 /// Runs one *representative traced execution* of a scenario into `sink`
-/// and returns a short label describing what was traced; for protocol
-/// scenarios the label is followed by the outcome's accounting table
-/// (the engine's [`npd_netsim::Metrics`] rows plus the protocol's stale
-/// messages, probes, missing assignments, achieved quorum and restarted
-/// agents).
+/// and returns a short label describing what was traced, plus, for
+/// protocol scenarios, the outcome's accounting table (the engine's
+/// [`npd_netsim::Metrics`] rows plus the protocol's stale messages,
+/// probes, missing assignments, achieved quorum and restarted agents).
 ///
 /// The normal scenario run ([`run`]) stays untraced — its pinned CSV
 /// outputs are untouched — and a single extra execution at the
@@ -680,7 +679,7 @@ pub fn run_traced(
     scenario: &Scenario,
     opts: &RunOptions,
     sink: &npd_telemetry::TelemetrySink,
-) -> String {
+) -> (String, Option<String>) {
     use npd_amp::AmpWorkspace;
     use npd_core::{GreedyWorkspace, ScoreOptions};
     use npd_decoders::BpWorkspace;
@@ -729,13 +728,13 @@ pub fn run_traced(
             ])
             .map(|(name, value)| vec![name.to_string(), value.to_string()])
             .collect();
-        return format!(
-            "{} n={n} m={m} rounds={} messages={}\n{}",
+        let label = format!(
+            "{} n={n} m={m} rounds={} messages={}",
             scenario.decoder.name(),
             outcome.rounds,
             outcome.metrics.messages_sent,
-            table(&["outcome", "value"], &rows)
         );
+        return (label, Some(table(&["outcome", "value"], &rows)));
     }
 
     if scenario.measurement == Measurement::Categorical {
@@ -757,11 +756,12 @@ pub fn run_traced(
             Some(run.ground_truth().labels()),
             sink,
         );
-        return format!(
+        let label = format!(
             "matrix-amp n={n} d={} m={m} iterations={}",
             instance.d(),
             out.iterations
         );
+        return (label, None);
     }
 
     // Batch scenarios: one decode at the Theorem-1 budget with the sink
@@ -776,7 +776,7 @@ pub fn run_traced(
         .build()
         .expect("registry scenarios are valid configurations");
     let run = instance.sample(&mut StdRng::seed_from_u64(seed));
-    match scenario.decoder {
+    let label = match scenario.decoder {
         DecoderKind::Amp => {
             let mut ws = AmpWorkspace::new();
             ws.set_telemetry(sink.clone());
@@ -797,7 +797,8 @@ pub fn run_traced(
             let scores = GreedyDecoder::new().scores_with(&run, ScoreOptions::default(), &mut ws);
             format!("greedy n={n} m={m} scored={}", scores.len())
         }
-    }
+    };
+    (label, None)
 }
 
 /// Categorical measurement: matrix-AMP label reconstruction on the

@@ -63,12 +63,12 @@ impl Metrics {
 
     /// Every counter as a `(name, value)` row, in declaration order.
     ///
-    /// This is the single enumeration of the struct's fields: the
-    /// telemetry exporter dumps these rows into its counter registry,
-    /// [`conserves`](Self::conserves) evaluates its identity over them,
-    /// and tests reconcile protocol-level accounting against them —
-    /// instead of each site plumbing fields by hand (and silently going
-    /// stale when a counter is added).
+    /// This is the single enumeration of the struct's fields: each
+    /// traced round event carries the rows that changed, the experiments
+    /// harness renders them as the traced protocol run's outcome table,
+    /// and [`conserves`](Self::conserves) evaluates its identity over
+    /// them — instead of each site plumbing fields by hand (and silently
+    /// going stale when a counter is added).
     pub fn as_rows(&self) -> impl Iterator<Item = (&'static str, u64)> {
         [
             ("rounds", self.rounds),

@@ -729,7 +729,7 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
                     .u64("active", active_nodes as u64);
                 // Per-round message/fault deltas straight off the shared
                 // Metrics rows; cumulative-style rows are skipped (the
-                // final registry dump carries them).
+                // final `Metrics` carries them).
                 for ((name, now), (_, was)) in after.as_rows().zip(before.as_rows()) {
                     if now != was && name != "rounds" && name != "peak_in_flight" {
                         event = event.u64(name, now - was);

@@ -224,6 +224,9 @@ fn check_under_loss_dup_delay(strategy: SelectionStrategy) {
         "{label}"
     );
     assert_batcher_sends(&run, &outcome, &label);
+    if strategy != SelectionStrategy::BatcherSort {
+        assert!(outcome.probes > 0, "{label}: gossip made no probes");
+    }
 }
 
 #[test]
