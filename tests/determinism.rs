@@ -825,3 +825,127 @@ fn score_bits_are_pinned() {
         .collect();
     assert!(moved.is_empty(), "score pins moved:\n{}", moved.join("\n"));
 }
+
+/// FNV-1a over 64-bit words, length first: the mixing step of
+/// [`score_fingerprint`] for the fault-schedule pins.
+fn word_fingerprint(words: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    };
+    mix(words.len() as u64);
+    for &w in words {
+        mix(w);
+    }
+    h
+}
+
+/// Bit-level pins of two faulted protocol runs. The determinism legs only
+/// compare shard and thread counts with each other, so a change to how a
+/// message's identity keys its fault draws (drop, duplicate, delay,
+/// corruption, retransmission) would move every side at once and still
+/// pass them; these constants catch it. Each run pins its `Metrics` rows,
+/// its per-node `NodeTraffic`, its estimate (score bits, then selected
+/// bits) and its deterministic JSONL stream. Recorded once, never updated.
+const FAULT_PINS: [(&str, u64); 8] = [
+    ("message-faults/metrics", 0xE9C8_6882_70B4_03CF),
+    ("message-faults/traffic", 0x384F_D5C4_B511_911B),
+    ("message-faults/estimate", 0xF2AA_3BA7_5BE2_8E96),
+    ("message-faults/jsonl", 0xCDE4_6086_2017_1DAA),
+    ("chaos/metrics", 0x8CCA_F77C_553C_D778),
+    ("chaos/traffic", 0x6BC2_7DC7_351F_A35C),
+    ("chaos/estimate", 0x062C_8E24_024E_EF35),
+    ("chaos/jsonl", 0xDAA8_35EB_CDFC_B37A),
+];
+
+#[test]
+fn fault_schedules_are_pinned() {
+    use noisy_pooled_data::core::distributed::SelectionStrategy;
+    use noisy_pooled_data::netsim::{NodeFaultPlan, ReliableConfig};
+    use noisy_pooled_data::telemetry::TelemetrySink;
+
+    let traced = |run: &noisy_pooled_data::core::Run, options: ProtocolOptions| {
+        let sink = TelemetrySink::recording();
+        let outcome = distributed::run_protocol_chaos_traced(run, options, &sink).unwrap();
+        (outcome, sink.export_jsonl().unwrap())
+    };
+    let pins = |name: &str, (outcome, jsonl): (distributed::ProtocolOutcome, String)| {
+        let metrics: Vec<u64> = outcome.metrics.as_rows().map(|(_, v)| v).collect();
+        let traffic: Vec<u64> = outcome
+            .node_traffic
+            .iter()
+            .flat_map(|t| [t.sent, t.received, t.active_send_rounds])
+            .collect();
+        let scores = outcome.estimate.scores().iter().map(|s| s.to_bits());
+        let bits = outcome.estimate.bits().iter().map(|&b| u64::from(b));
+        let estimate: Vec<u64> = scores.chain(bits).collect();
+        let stream: Vec<u64> = jsonl.bytes().map(u64::from).collect();
+        [
+            ("metrics", metrics),
+            ("traffic", traffic),
+            ("estimate", estimate),
+            ("jsonl", stream),
+        ]
+        .map(|(part, words)| (format!("{name}/{part}"), word_fingerprint(&words)))
+    };
+
+    // Message faults on the paper's protocol: drops, duplicates and
+    // delays of the measurement broadcast and of the layer-tagged tokens.
+    let message_run = sample_run(128, 3, 100, NoiseModel::z_channel(0.1), 36);
+    let message = traced(
+        &message_run,
+        ProtocolOptions {
+            faults: Some(FaultConfig::new(0.05, 0.1, 41).unwrap().with_max_delay(2)),
+            ..ProtocolOptions::default()
+        },
+    );
+    let m = message.0.metrics;
+    assert!(m.messages_dropped > 0, "no drops drawn");
+    assert!(m.messages_duplicated > 0, "no duplicates drawn");
+    assert!(m.messages_delayed > 0, "no delays drawn");
+
+    // Agent chaos on the gossip selection, over lossy links with the
+    // measurement broadcast sent reliably: crashes with restarts,
+    // stragglers, corruptors and retransmissions.
+    let chaos_run = sample_run(128, 3, 100, NoiseModel::z_channel(0.1), 37);
+    let reliable = ReliableConfig::default();
+    let plan = NodeFaultPlan::new(0xFA17)
+        .with_crashes(0.15, (0, 6))
+        .unwrap()
+        .with_restarts(3)
+        .with_stragglers(0.05, 1)
+        .unwrap()
+        .with_corruption(0.1, 0.5)
+        .unwrap();
+    let chaos = traced(
+        &chaos_run,
+        ProtocolOptions {
+            strategy: SelectionStrategy::gossip(),
+            faults: Some(FaultConfig::new(0.03, 0.02, 43).unwrap().with_max_delay(1)),
+            node_faults: Some(plan),
+            reliable: Some(reliable),
+            grace: reliable.worst_case_rounds(),
+            winsorize: true,
+            ..ProtocolOptions::default()
+        },
+    );
+    let c = chaos.0.metrics;
+    assert!(c.node_crashes > 0, "no crashes drawn");
+    assert!(c.node_restarts > 0, "no restarts drawn");
+    assert!(c.messages_corrupted > 0, "no corruption drawn");
+    assert!(c.messages_lost_to_crash > 0, "no messages lost to crashes");
+    assert!(c.messages_retransmitted > 0, "no retransmissions");
+
+    let got: Vec<(String, u64)> = pins("message-faults", message)
+        .into_iter()
+        .chain(pins("chaos", chaos))
+        .collect();
+    let moved: Vec<String> = FAULT_PINS
+        .iter()
+        .zip(&got)
+        .filter(|((name, pin), (got_name, now))| name != got_name || pin != now)
+        .map(|((name, pin), (_, now))| format!("{name}: pinned {pin:#018X}, got {now:#018X}"))
+        .collect();
+    assert!(moved.is_empty(), "fault pins moved:\n{}", moved.join("\n"));
+}
