@@ -109,6 +109,7 @@
 //!   straggler, retry, and grace slack so chaos runs still terminate
 //!   instead of hitting `MaxRoundsExceeded`.
 
+use crate::design::QueryMultiset;
 use crate::greedy::{Estimate, ScoreAccumulator};
 use crate::model::Run;
 use npd_netsim::gossip::{TopKCore, TopKMsg, PROBE_LIMIT};
@@ -274,7 +275,7 @@ struct AgentConfig {
 #[derive(Debug)]
 enum ProtocolNode<'a> {
     Agent(AgentState<'a>),
-    Query(QueryState),
+    Query(QueryState<'a>),
 }
 
 #[derive(Debug)]
@@ -320,12 +321,11 @@ enum Role {
 }
 
 #[derive(Debug)]
-struct QueryState {
-    /// Distinct members with their multiplicities.
-    neighbors: Vec<(u32, u32)>,
+struct QueryState<'a> {
+    /// The query's distinct members, their multiplicities and its slot
+    /// count, borrowed from the run's pooling graph.
+    members: &'a QueryMultiset,
     result: f64,
-    /// Total slot count of this query (including multiplicities).
-    slots: u32,
     /// Send the measurement broadcast through the at-least-once layer
     /// ([`ProtocolOptions::reliable`]).
     reliable: bool,
@@ -350,14 +350,14 @@ impl Node<ProtocolMessage> for ProtocolNode<'_> {
     }
 }
 
-impl QueryState {
+impl QueryState<'_> {
     fn on_round(&mut self, ctx: &mut Context<'_, ProtocolMessage>) -> Activity {
         if ctx.round() == 0 {
-            for &(a, count) in &self.neighbors {
+            for (a, count) in self.members.iter() {
                 let msg = ProtocolMessage::Measurement {
                     value: self.result,
                     multiplicity: count,
-                    slots: self.slots,
+                    slots: self.members.total_slots(),
                 };
                 if self.reliable {
                     ctx.send_reliable(NodeId(a as usize), msg);
@@ -450,7 +450,8 @@ impl AgentState<'_> {
         if resolved_layer < schedule.depth {
             // Resolve the compare-exchange whose tokens arrived this round.
             if let Some((_, is_lo)) = schedule.per_layer[resolved_layer][self.pos as usize] {
-                let (theirs, stale) = first_token(ctx.inbox(), resolved_layer as u32);
+                let inbox = ctx.inbox().iter().map(|env| env.payload);
+                let (theirs, stale) = first_token(inbox, resolved_layer as u32);
                 self.stale += stale;
                 if let Some(theirs) = theirs {
                     let mine_first = token_precedes(*token, theirs);
@@ -509,7 +510,7 @@ fn fold_measurements(
             if heard.is_empty() {
                 heard.resize(config.heard_words, 0);
             }
-            let query = env.from.0 - config.n;
+            let query = env.from().0 - config.n;
             let (word, bit) = (query / 64, 1u64 << (query % 64));
             if heard[word] & bit != 0 {
                 // Duplicate delivery: a duplication-fault copy, or a
@@ -593,18 +594,21 @@ fn gossip_round(
     }
 }
 
-/// First token addressed to `layer` in an inbox, plus the number of stale
-/// (wrong-layer) tokens that were filtered out. Duplicates of the current
-/// layer's token are ignored (first match wins).
-fn first_token(inbox: &[Envelope<ProtocolMessage>], layer: u32) -> (Option<(f64, u32)>, u64) {
+/// First token addressed to `layer` among an inbox's payloads, plus the
+/// number of stale (wrong-layer) tokens that were filtered out. Duplicates
+/// of the current layer's token are ignored (first match wins).
+fn first_token(
+    payloads: impl IntoIterator<Item = ProtocolMessage>,
+    layer: u32,
+) -> (Option<(f64, u32)>, u64) {
     let mut found = None;
     let mut stale = 0u64;
-    for env in inbox {
+    for payload in payloads {
         if let ProtocolMessage::Token {
             score,
             agent,
             layer: tag,
-        } = env.payload
+        } = payload
         {
             if tag == layer {
                 if found.is_none() {
@@ -926,9 +930,8 @@ pub fn run_protocol_chaos_traced(
     }
     for (j, q) in run.graph().queries().iter().enumerate() {
         nodes.push(ProtocolNode::Query(QueryState {
-            neighbors: q.iter().collect(),
+            members: q,
             result: run.results()[j],
-            slots: q.total_slots(),
             reliable: options.reliable.is_some(),
         }));
     }
@@ -1323,24 +1326,12 @@ mod tests {
         // The stale sender (id 0) precedes the current partner (id 5) in
         // the (sender, seq)-sorted inbox — exactly the arrangement the old
         // `first_token` mis-consumed.
-        let inbox = vec![
-            Envelope {
-                from: NodeId(0),
-                to: NodeId(3),
-                payload: stale,
-            },
-            Envelope {
-                from: NodeId(5),
-                to: NodeId(3),
-                payload: current,
-            },
-        ];
-        let (found, stale_count) = first_token(&inbox, 1);
+        let (found, stale_count) = first_token([stale, current], 1);
         assert_eq!(found, Some((2.0, 5)));
         assert_eq!(stale_count, 1);
         // A fully stale inbox degrades to "no partner" instead of
         // consuming a wrong-layer token.
-        let (found, stale_count) = first_token(&inbox[..1], 1);
+        let (found, stale_count) = first_token([stale], 1);
         assert_eq!(found, None);
         assert_eq!(stale_count, 1);
     }
@@ -1419,10 +1410,11 @@ mod tests {
     /// The bytes each delivered message moves: the netsim arena copies
     /// every broadcast envelope at this size, so a wider variant (say, a
     /// multi-threshold `TopKMsg`) makes every broadcast round move more.
+    /// The envelope adds two `u32` node ids to the message.
     #[test]
     fn message_and_envelope_sizes_are_pinned() {
         assert_eq!(std::mem::size_of::<ProtocolMessage>(), 24);
-        assert_eq!(std::mem::size_of::<Envelope<ProtocolMessage>>(), 40);
+        assert_eq!(std::mem::size_of::<Envelope<ProtocolMessage>>(), 32);
     }
 
     /// The bytes each node step walks: every selection round steps all `n`

@@ -124,15 +124,23 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// A message in flight, tagged with its sender and recipient.
+/// A message in flight, tagged with its sender and recipient. Both ids
+/// are `u32`, the id space [`Network::new`] admits, so an envelope is the
+/// payload plus 8 bytes: 32 bytes for a 24-byte payload. Only the engine
+/// builds one; the recipient is the node whose inbox holds it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope<M> {
-    /// Sending node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
+    from: u32,
+    to: u32,
     /// Message payload.
     pub payload: M,
+}
+
+impl<M> Envelope<M> {
+    /// Sending node.
+    pub fn from(&self) -> NodeId {
+        NodeId(self.from as usize)
+    }
 }
 
 /// Whether a node wants to be stepped again even without incoming messages.

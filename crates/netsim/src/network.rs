@@ -29,6 +29,11 @@
 //! classic synchronous message-passing model (e.g. Santoro, *Design and
 //! Analysis of Distributed Algorithms*).
 //!
+//! Node ids and send sequences are `u32`. A staged message is an 8-byte
+//! key (send-seq, copy, reliable flag) plus an envelope of two ids and the
+//! payload: 40 bytes for a 24-byte payload, 48 with the due round of a
+//! delayed or retransmitted copy. The slab keeps the 32-byte envelope.
+//!
 //! On top of the message-fault gates, the engine supports *agent-level*
 //! faults ([`Network::with_node_faults`]): fail-stop crashes filter
 //! deliveries and skip the node-step phase for downed nodes, stragglers
@@ -50,19 +55,18 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-/// Identity of one physical message copy: the sender, the sender's
-/// cumulative send sequence number, and the copy number. The triple is
-/// unique per copy and totally ordered; delivery order and all fault
-/// decisions derive from it.
+/// Identity of one physical message copy, beside its envelope's sender:
+/// the sender's cumulative `u32` send sequence number and the copy number.
+/// The triple `(sender, seq, copy)` is unique per copy; delivery order and
+/// all fault decisions derive from it.
 ///
 /// Copy numbering: transmission attempt `a` (0 = the node's own send,
 /// `a ≥ 1` = the reliability layer's retransmissions) has copy `2a`; the
 /// duplication-fault clone of attempt `a` has copy `2a + 1`. The parity
 /// bit thus preserves the original original-vs-duplicate RNG mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MsgKey {
-    from: u32,
-    seq: u64,
+    seq: u32,
     copy: u16,
     /// Whether the reliability layer tracks this message (set by
     /// [`Context::send_reliable`]; acted on only when a
@@ -140,8 +144,8 @@ impl<M> Context<'_, M> {
     ///
     /// # Panics
     ///
-    /// Panics if `dst` is out of range or the topology has no `self → dst`
-    /// link.
+    /// Panics if `dst` is out of range, the topology has no `self → dst`
+    /// link, or this node already used up its `u32` send sequence.
     pub fn send(&mut self, dst: NodeId, payload: M) {
         self.send_inner(dst, payload, false);
     }
@@ -156,8 +160,7 @@ impl<M> Context<'_, M> {
     ///
     /// # Panics
     ///
-    /// Panics if `dst` is out of range or the topology has no `self → dst`
-    /// link.
+    /// Panics as [`send`](Self::send) does.
     pub fn send_reliable(&mut self, dst: NodeId, payload: M) {
         self.send_inner(dst, payload, true);
     }
@@ -173,21 +176,19 @@ impl<M> Context<'_, M> {
             "Context::send: topology has no link {} → {dst}",
             self.id
         );
+        assert!(
+            self.next_seq <= u64::from(u32::MAX),
+            "Context::send: {} exceeds the u32 send-sequence space",
+            self.id
+        );
         let key = MsgKey {
-            from: self.id.0 as u32,
-            seq: self.next_seq,
+            seq: self.next_seq as u32,
             copy: 0,
             reliable,
         };
         self.next_seq += 1;
-        self.outbox[dst.0 / self.shard_size].push((
-            key,
-            Envelope {
-                from: self.id,
-                to: dst,
-                payload,
-            },
-        ));
+        let (from, to) = (self.id.0 as u32, dst.0 as u32);
+        self.outbox[dst.0 / self.shard_size].push((key, Envelope { from, to, payload }));
     }
 }
 
@@ -302,16 +303,16 @@ fn recommended_shards(n: usize) -> usize {
 }
 
 /// Dedicated RNG of one message copy: a pure function of the fault seed
-/// and the copy's identity, so fault decisions cannot depend on shard
-/// count, thread count, or processing order.
+/// and the copy's identity `(from, key)`, so fault decisions cannot depend
+/// on shard count, thread count, or processing order.
 ///
 /// The mapping for copies 0 and 1 (the node's send and its duplication
 /// clone) is frozen — pinned fault schedules across the workspace replay
 /// against it; retransmission copies (`copy ≥ 2`) mix in the copy number
 /// so every attempt redraws fresh fault decisions.
-fn message_rng(seed: u64, key: MsgKey) -> SmallRng {
-    let mut mixed = splitmix64(seed ^ splitmix64((key.from as u64) << 1 | (key.copy & 1) as u64))
-        ^ splitmix64(key.seq.wrapping_add(0xA5A5_5A5A_0F0F_F0F0));
+fn message_rng(seed: u64, from: u32, key: MsgKey) -> SmallRng {
+    let mut mixed = splitmix64(seed ^ splitmix64(u64::from(from) << 1 | u64::from(key.copy & 1)))
+        ^ splitmix64(u64::from(key.seq).wrapping_add(0xA5A5_5A5A_0F0F_F0F0));
     if key.copy >= 2 {
         mixed ^= splitmix64(((key.copy as u64) << 32) ^ 0x7E7E_1234_ABCD_0001);
     }
@@ -753,50 +754,37 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
             let buf = &mut self.staging[d];
 
             // Merge delay-faulted messages whose round has come, restoring
-            // the global (sender, send-seq) order. Keys are unique, so the
-            // unstable sort is deterministic. (`swap_remove` scrambles the
-            // pending order, which is fine: delivery order comes from the
-            // key sort, and pending entries are re-scanned every round.)
-            // `resort` forces the sort when last round's routing staged
-            // out-of-order traffic (retransmissions).
+            // the global (sender, send-seq) order. Identities are unique, so
+            // the unstable sort is deterministic. `resort` forces the sort
+            // when last round's routing staged out-of-order traffic
+            // (retransmissions).
+            let round = self.round;
             let mut needs_sort = self.resort;
             let pending = &mut self.delayed[d];
             if !pending.is_empty() {
                 let before = buf.len();
-                let mut i = 0usize;
-                while i < pending.len() {
-                    if pending[i].0 <= self.round {
-                        let (_, key, env) = pending.swap_remove(i);
-                        buf.push((key, env));
-                    } else {
-                        i += 1;
-                    }
-                }
+                buf.extend(
+                    pending
+                        .extract_if(.., |p| p.0 <= round)
+                        .map(|(_, key, env)| (key, env)),
+                );
                 needs_sort |= buf.len() > before;
             }
 
             // Fail-stop filter: a delivery to a node that is down this
             // round is lost (counted, and retransmitted later if the
-            // message is reliable and budget remains).
+            // message is reliable and budget remains). Survivors keep
+            // their order.
             if let Some(nf) = &self.node_faults {
-                let round = self.round;
-                let before = buf.len();
-                let mut i = 0usize;
-                while i < buf.len() {
-                    if down_in(nf.spans[buf[i].1.to.0], round) {
-                        let (key, env) = buf.swap_remove(i);
-                        self.metrics.messages_lost_to_crash += 1;
-                        retransmit(&mut self.retrans, self.reliable, round, key, env);
-                    } else {
-                        i += 1;
-                    }
+                let down = |(_, env): &mut Staged<M>| down_in(nf.spans[env.to as usize], round);
+                for (key, env) in buf.extract_if(.., down) {
+                    self.metrics.messages_lost_to_crash += 1;
+                    retransmit(&mut self.retrans, self.reliable, round, key, env);
                 }
-                // swap_remove scrambled the survivors' order.
-                needs_sort |= buf.len() < before;
             }
 
             if needs_sort && !buf.is_empty() {
-                buf.sort_unstable_by_key(|e| e.0);
+                buf.sort_unstable_by_key(|(key, env)| (env.from, key.seq, key.copy));
             }
 
             if buf.is_empty() {
@@ -812,8 +800,8 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
             let counts = &mut self.counts[..span];
             counts.fill(0);
             for (_, env) in buf.iter() {
-                counts[env.to.0 - lo] += 1;
-                self.traffic[env.to.0].received += 1;
+                counts[env.to as usize - lo] += 1;
+                self.traffic[env.to as usize].received += 1;
             }
             let mut running = 0usize;
             for (v, c) in counts.iter_mut().enumerate() {
@@ -824,7 +812,7 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
             }
             self.perm.resize(buf.len(), 0);
             for (i, (_, env)) in buf.iter().enumerate() {
-                let local = env.to.0 - lo;
+                let local = env.to as usize - lo;
                 self.perm[counts[local]] = i as u32;
                 counts[local] += 1;
             }
@@ -939,16 +927,11 @@ impl<M: Clone + Send + Sync, N: Node<M> + Send> Network<M, N> {
             // Due retransmissions are extracted before the router borrows:
             // reschedules (a retransmission lost again) push fresh entries
             // with due > round, so the set drained here is final.
-            let mut due: Vec<Staged<M>> = Vec::new();
-            let mut i = 0usize;
-            while i < self.retrans.len() {
-                if self.retrans[i].0 <= round {
-                    let (_, key, env) = self.retrans.swap_remove(i);
-                    due.push((key, env));
-                } else {
-                    i += 1;
-                }
-            }
+            let due: Vec<Staged<M>> = self
+                .retrans
+                .extract_if(.., |p| p.0 <= round)
+                .map(|(_, key, env)| (key, env))
+                .collect();
             let mut router = Router {
                 topology: &self.topology,
                 node_faults: self.node_faults.as_ref(),
@@ -1104,23 +1087,22 @@ impl<M: Clone> Router<'_, M> {
     /// Routes one outbound message copy through corruption, duplication,
     /// drop, and delay gates.
     fn route(&mut self, key: MsgKey, mut env: Envelope<M>) {
+        let (from, to) = (env.from, env.to as usize);
         let profile = self
             .topology
-            .link_faults(env.from, env.to)
+            .link_faults(env.from(), NodeId(to))
             .copied()
             .unwrap_or(self.default_profile);
-        let straggler = self.node_faults.map_or(0, |nf| nf.straggler[env.from.0]);
+        let straggler = self.node_faults.map_or(0, |nf| nf.straggler[from as usize]);
         // Corruption garbles the node's original emission (copy 0) only:
         // duplicates below clone the already-garbled payload, and
         // retransmissions resend the payload exactly as first transmitted.
         if key.copy == 0 {
             if let Some(nf) = self.node_faults {
                 if let Some(garble) = nf.corrupt {
-                    if nf.plan.corrupts_message(key.from, key.seq) {
-                        garble(
-                            &mut env.payload,
-                            nf.plan.corruption_entropy(key.from, key.seq),
-                        );
+                    let seq = u64::from(key.seq);
+                    if nf.plan.corrupts_message(from, seq) {
+                        garble(&mut env.payload, nf.plan.corruption_entropy(from, seq));
                         self.metrics.messages_corrupted += 1;
                     }
                 }
@@ -1130,13 +1112,13 @@ impl<M: Clone> Router<'_, M> {
         // entirely — behavior-identical, since every decision is a pure
         // per-message function with zero probabilities.
         if profile.is_reliable() && straggler == 0 {
-            self.staging[env.to.0 / self.shard_size].push((key, env));
+            self.staging[to / self.shard_size].push((key, env));
             return;
         }
         // The duplicate is decided first, from the original's RNG, so it
         // exists independently of the original's drop/delay fate; both copies
         // then pass the gates independently.
-        let mut rng = message_rng(self.seed, key);
+        let mut rng = message_rng(self.seed, from, key);
         let dup_draw = rng.gen::<f64>();
         let copy = (dup_draw < profile.dup_prob).then(|| {
             self.metrics.messages_duplicated += 1;
@@ -1148,7 +1130,7 @@ impl<M: Clone> Router<'_, M> {
         });
         self.gate(rng, &profile, straggler, key, env);
         if let Some((ckey, cenv)) = copy {
-            let mut crng = message_rng(self.seed, ckey);
+            let mut crng = message_rng(self.seed, from, ckey);
             let _ = crng.gen::<f64>(); // dup slot, unused on copies
             self.gate(crng, &profile, straggler, ckey, cenv);
         }
@@ -1181,7 +1163,7 @@ impl<M: Clone> Router<'_, M> {
             return;
         }
         let extra = straggler_extra + delay_draw;
-        let dst = env.to.0 / self.shard_size;
+        let dst = env.to as usize / self.shard_size;
         if extra > 0 {
             self.metrics.messages_delayed += 1;
             self.delayed[dst].push((self.round + 1 + extra, key, env));
@@ -1712,12 +1694,11 @@ mod tests {
     #[test]
     fn message_rng_distinguishes_copies() {
         let key = |copy: u16| MsgKey {
-            from: 1,
             seq: 5,
             copy,
             reliable: false,
         };
-        let draw = |copy: u16| message_rng(99, key(copy)).gen::<u64>();
+        let draw = |copy: u16| message_rng(99, 1, key(copy)).gen::<u64>();
         assert_ne!(draw(0), draw(1));
         // Retransmission attempts redraw fresh decisions.
         assert_ne!(draw(0), draw(2));
@@ -1725,7 +1706,44 @@ mod tests {
         // The reliable flag never shifts the fault mapping.
         let mut reliable = key(0);
         reliable.reliable = true;
-        assert_eq!(draw(0), message_rng(99, reliable).gen::<u64>());
+        assert_eq!(draw(0), message_rng(99, 1, reliable).gen::<u64>());
+    }
+
+    /// The bytes each broadcast message occupies between its send and its
+    /// delivery: an 8-byte key plus the envelope, which is two `u32` ids
+    /// and, here, a 24-byte payload like the protocol's message. A delayed
+    /// or retransmitted copy also carries its due round.
+    #[test]
+    fn staged_entry_sizes_are_pinned() {
+        type Payload = [u64; 3];
+        assert_eq!(std::mem::size_of::<MsgKey>(), 8);
+        assert_eq!(std::mem::size_of::<Envelope<Payload>>(), 32);
+        assert_eq!(std::mem::size_of::<Staged<Payload>>(), 40);
+        assert_eq!(std::mem::size_of::<Pending<Payload>>(), 48);
+    }
+
+    /// The send sequence is a `u32`: a node's send at sequence `u32::MAX`
+    /// still goes out, and its next send panics instead of wrapping onto
+    /// the identity of its first message.
+    #[test]
+    #[should_panic(expected = "node#0 exceeds the u32 send-sequence space")]
+    fn send_sequence_overflow_panics() {
+        /// Node 0 sends to node 1 every round.
+        struct Chatter;
+        impl Node<u8> for Chatter {
+            fn on_round(&mut self, ctx: &mut Context<'_, u8>) -> Activity {
+                if ctx.id() == NodeId(0) {
+                    ctx.send(NodeId(1), 7);
+                }
+                Activity::Idle
+            }
+        }
+        let mut net = Network::new(vec![Chatter, Chatter]);
+        net.traffic[0].sent = u64::from(u32::MAX);
+        assert_eq!(net.step().sent, 1);
+        assert_eq!(net.staging[0][0].0.seq, u32::MAX);
+        assert_eq!(net.traffic()[0].sent, 1 << 32);
+        net.step();
     }
 
     /// Nodes that crash before their send round go silent; deliveries to
