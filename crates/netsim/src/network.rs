@@ -63,7 +63,7 @@ use rayon::prelude::*;
 /// Copy numbering: transmission attempt `a` (0 = the node's own send,
 /// `a ≥ 1` = the reliability layer's retransmissions) has copy `2a`; the
 /// duplication-fault clone of attempt `a` has copy `2a + 1`. The parity
-/// bit thus preserves the original original-vs-duplicate RNG mapping.
+/// bit thus preserves the original-vs-duplicate RNG mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MsgKey {
     seq: u32,

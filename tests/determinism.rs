@@ -675,22 +675,31 @@ fn amp_telemetry_stream_is_identical_across_thread_counts() {
     }
 }
 
-/// FNV-1a over the bit patterns of score vectors (length first), the
-/// fingerprint scheme of the stream pins in `tests/amp_baseline.rs` and
+/// FNV-1a over 64-bit words, each slice length first, the fingerprint
+/// scheme of the stream pins in `tests/amp_baseline.rs` and
 /// `tests/static_contract.rs`.
-fn score_fingerprint(vectors: &[&[f64]]) -> u64 {
+fn fingerprint(slices: &[&[u64]]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut mix = |v: u64| {
         h ^= v;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     };
-    for scores in vectors {
-        mix(scores.len() as u64);
-        for x in scores.iter() {
-            mix(x.to_bits());
+    for words in slices {
+        mix(words.len() as u64);
+        for &w in words.iter() {
+            mix(w);
         }
     }
     h
+}
+
+/// [`fingerprint`] over the bit patterns of score vectors.
+fn score_fingerprint(vectors: &[&[f64]]) -> u64 {
+    let bits: Vec<Vec<u64>> = vectors
+        .iter()
+        .map(|scores| scores.iter().map(|x| x.to_bits()).collect())
+        .collect();
+    fingerprint(&bits.iter().map(Vec::as_slice).collect::<Vec<_>>())
 }
 
 /// Bit-level pins of every score path built on the greedy fold. The
@@ -826,21 +835,6 @@ fn score_bits_are_pinned() {
     assert!(moved.is_empty(), "score pins moved:\n{}", moved.join("\n"));
 }
 
-/// FNV-1a over 64-bit words, length first: the mixing step of
-/// [`score_fingerprint`] for the fault-schedule pins.
-fn word_fingerprint(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    mix(words.len() as u64);
-    for &w in words {
-        mix(w);
-    }
-    h
-}
-
 /// Bit-level pins of two faulted protocol runs. The determinism legs only
 /// compare shard and thread counts with each other, so a change to how a
 /// message's identity keys its fault draws (drop, duplicate, delay,
@@ -887,7 +881,7 @@ fn fault_schedules_are_pinned() {
             ("estimate", estimate),
             ("jsonl", stream),
         ]
-        .map(|(part, words)| (format!("{name}/{part}"), word_fingerprint(&words)))
+        .map(|(part, words)| (format!("{name}/{part}"), fingerprint(&[&words])))
     };
 
     // Message faults on the paper's protocol: drops, duplicates and
